@@ -16,7 +16,8 @@ promise byte-identical migration state — and the bench asserts it.
 
 Expected shape: F-measures rise with the read rate and Q2 ≥ Q1 (Q2
 avoids the noisier containment estimate); sharing shrinks state several
-fold.
+fold. Each cell also reports what encoding one container's bundle costs
+(mean and worst milliseconds) — informational, not gated.
 
 Standalone usage (the CI smoke gate)::
 
@@ -24,14 +25,16 @@ Standalone usage (the CI smoke gate)::
         --output BENCH_query_state.ci.json \\
         --baseline BENCH_query_state.json --max-drift 0.10
 
-Regenerate the committed baseline after an intentional change::
+Regenerate the committed baseline after an intentional change (full
+mode, so the smoke point and the other read rates are all recorded)::
 
-    PYTHONPATH=src python benchmarks/bench_table_query_state.py --smoke \\
+    PYTHONPATH=src python benchmarks/bench_table_query_state.py \\
         --output BENCH_query_state.json
 """
 
 import os
 import sys
+import time
 from collections import defaultdict
 
 from _common import bench_cli, emit_table, load_baseline
@@ -77,10 +80,12 @@ def state_sizes(query, service, scenario):
         container = service.containment_at(tag)
         groups[container][tag] = encode_pattern_state(state)
     raw = sum(len(s) for g in groups.values() for s in g.values())
-    shared = sum(
-        centroid_compress(states).byte_size() for states in groups.values() if states
-    )
-    return raw, shared
+    shared, encode_ms = 0, []
+    for states in groups.values():
+        began = time.perf_counter()
+        shared += centroid_compress(states).byte_size()
+        encode_ms.append(1e3 * (time.perf_counter() - began))
+    return raw, shared, encode_ms
 
 
 def migrated_bytes(query, scenario):
@@ -147,7 +152,7 @@ def run_cell(rr: float):
         # materializes quiescent partitions and would inflate exports.
         compiled_migrated = migrated_bytes(inferred_q, scenario)
         legacy_migrated = migrated_bytes(legacy_q, scenario)
-        raw, shared = state_sizes(inferred_q, service, scenario)
+        raw, shared, encode_ms = state_sizes(inferred_q, service, scenario)
         # The refactor's core promise, enforced on every bench run.
         assert compiled_migrated == legacy_migrated, (
             f"{name}: compiled plan migrates {compiled_migrated} B, "
@@ -159,6 +164,9 @@ def run_cell(rr: float):
             "f1": fm.f1,
             "raw": raw,
             "shared": shared,
+            "bundles": len(encode_ms),
+            "encode_ms_mean": round(sum(encode_ms) / len(encode_ms), 3),
+            "encode_ms_max": round(max(encode_ms), 3),
             "migrated_compiled": compiled_migrated,
             "migrated_legacy": legacy_migrated,
         }
@@ -182,6 +190,10 @@ def emit(table, rates):
         rows.append([f"{name} state w/o share(B)"] + [str(c["raw"]) for c in cells])
         rows.append([f"{name} state w. share(B)"] + [str(c["shared"]) for c in cells])
         rows.append(
+            [f"{name} encode ms/bundle (max)"]
+            + [f"{c['encode_ms_mean']:.2f} ({c['encode_ms_max']:.2f})" for c in cells]
+        )
+        rows.append(
             [f"{name} migrated compiled(B)"]
             + [str(c["migrated_compiled"]) for c in cells]
         )
@@ -203,17 +215,26 @@ def build_payload(smoke: bool) -> dict:
     rates = READ_RATES[:1] if smoke else READ_RATES
     table = run_sweep(rates)
     emit(table, rates)
-    return {"smoke": smoke, "read_rates": rates, "queries": table}
+    return {
+        "schema_version": 1,
+        "bench": "query_state",
+        "smoke": smoke,
+        "read_rates": rates,
+        "queries": table,
+    }
 
 
 def check_drift(payload: dict, baseline_path: str, budget: float) -> list[str]:
-    """Migrated-byte comparison against the committed baseline.
+    """Migrated-byte and shared-byte comparison against the baseline.
 
     Byte totals are deterministic given the seeded scenario, but
     inference is floating-point: platform differences can shift which
     events materialize and therefore how many pattern pushes collect
-    values. The gate allows ``budget`` relative drift; equivalence
-    between compiled and legacy is asserted exactly at run time.
+    values. The migrated-byte gate allows ``budget`` relative drift;
+    equivalence between compiled and legacy is asserted exactly at run
+    time. Centroid sharing may not get worse at all: ``shared`` must not
+    exceed the baseline's, scaled by ``raw`` where the platform moved
+    the raw bytes (same raw bytes: not one byte more).
     """
     baseline = load_baseline(baseline_path)
     base = {
@@ -231,6 +252,12 @@ def check_drift(payload: dict, baseline_path: str, budget: float) -> list[str]:
                     f"{baseline_path}; regenerate the committed baseline"
                 )
                 continue
+            if cell["shared"] * base[key]["raw"] > base[key]["shared"] * cell["raw"]:
+                failures.append(
+                    f"{name}@RR={cell['read_rate']}: shared state "
+                    f"{cell['shared']} B of {cell['raw']} B raw, baseline "
+                    f"{base[key]['shared']} B of {base[key]['raw']} B"
+                )
             expected = base[key]["migrated_compiled"]
             got = cell["migrated_compiled"]
             if expected == 0:
@@ -254,7 +281,10 @@ def main(argv=None) -> int:
         budget_flag="--max-drift",
         budget_default=0.10,
         budget_help="allowed relative drift in migrated bytes vs baseline",
-        gate_ok="query-state gate: within budget (compiled == legacy exact)",
+        gate_ok=(
+            "query-state gate: within budget (compiled == legacy exact, "
+            "shared <= baseline)"
+        ),
     )
 
 

@@ -130,6 +130,35 @@ def summarize(path: str, plane: str | None = None, top: int = 20, out=None) -> i
         out,
     )
 
+    # Spans that ship state say how many bytes went in and came out, so
+    # the bundle compression ratio (§4.2) reads off per directed link.
+    links: dict = {}
+    for s in spans:
+        if "raw_bytes" in s and "wire_bytes" in s:
+            key = (f"{s.get('plane', '?')}/{s.get('name', '?')}", s.get("src"), s.get("dst"))
+            n, n_states, raw, wire = links.get(key, (0, 0, 0, 0))
+            links[key] = (
+                n + 1, n_states + s.get("states", 0),
+                raw + s["raw_bytes"], wire + s["wire_bytes"],
+            )
+    if links:
+        fmt3 = "{:<32} {:>9} {:>6} {:>7} {:>10} {:>10} {:>6}"
+        rows = [
+            fmt3.format(
+                name, f"{src}->{dst}", n, n_states, raw, wire,
+                f"{wire / raw:.3f}" if raw else "-",
+            )
+            for (name, src, dst), (n, n_states, raw, wire) in sorted(
+                links.items(), key=lambda kv: -kv[1][3]
+            )[:top]
+        ]
+        _print_rows(
+            "state bundles per link",
+            fmt3.format("plane/name", "link", "spans", "states", "raw_B", "wire_B", "ratio"),
+            rows,
+            out,
+        )
+
     if states:
         counts: dict = {}
         for s in states:

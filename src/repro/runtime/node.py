@@ -481,29 +481,38 @@ class SiteNode:
     def flush_query_handoffs(self, time: int) -> None:
         """Send owed query state (called by the cluster after the tick)."""
         pending, self._pending_handoffs = self._pending_handoffs, []
+        tel = get_telemetry()
         for requester, tags in pending:
             per_query = self.router.export(tags)
             if not per_query:
                 continue
-            if self.batch_migrations:
-                self._send(
-                    Envelope(
-                        self.site, requester, QUERY_STATE,
-                        encode_query_bundle(per_query), time,
+            with tel.span(
+                "federation", "handoff.export",
+                src=self.site, dst=requester, boundary=time,
+            ) as span:
+                if self.batch_migrations:
+                    payloads = [encode_query_bundle(per_query)]
+                else:
+                    payloads = [
+                        encode_single_query_state(name, tag, per_query[name][tag])
+                        for name in sorted(per_query)
+                        for tag in sorted(per_query[name])
+                    ]
+                for payload in payloads:
+                    self._send(
+                        Envelope(self.site, requester, QUERY_STATE, payload, time)
                     )
-                )
-            else:
-                for name in sorted(per_query):
-                    for tag in sorted(per_query[name]):
-                        self._send(
-                            Envelope(
-                                self.site, requester, QUERY_STATE,
-                                encode_single_query_state(
-                                    name, tag, per_query[name][tag]
-                                ),
-                                time,
-                            )
-                        )
+                if tel.enabled:
+                    exported = [
+                        state
+                        for states in per_query.values()
+                        for state in states.values()
+                    ]
+                    span.set(
+                        states=len(exported),
+                        raw_bytes=sum(map(len, exported)),
+                        wire_bytes=sum(map(len, payloads)),
+                    )
 
     def _serve_history(self, env: Envelope) -> None:
         """Answer one historical query against the site's archive.

@@ -4,6 +4,7 @@ state-diff codec, including malformed/adversarial byte strings."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro._util.encoding import ByteWriter
 from repro.core.collapsed import CollapsedState
 from repro.distributed.sharing import apply_diff, state_diff
 from repro.sim.tags import EPC, TagKind
@@ -83,13 +84,28 @@ class TestCollapsedAdversarial:
         assert isinstance(state, CollapsedState)
 
 
-class TestStateDiff:
-    @given(
-        base=st.binary(max_size=80),
-        target=st.binary(max_size=80),
+def lumpy(max_size=400):
+    """Low-entropy bytes like real automaton states (varint zeros, float
+    padding): 4-byte grams repeat, so the matcher's hits land on the
+    wrong alignment and its extend / back-off / reject paths all run."""
+    return st.lists(st.sampled_from([0, 0, 0, 1, 63, 240]), max_size=max_size).map(bytes)
+
+
+def state_pairs():
+    """(base, target): unrelated bytes, or two states sharing a head and
+    a tail around a differing middle (how co-migrating states differ)."""
+    blob = st.one_of(st.binary(max_size=300), lumpy())
+    spliced = st.tuples(blob, blob, blob, blob).map(
+        lambda p: (p[0] + p[1] + p[2], p[0] + p[3] + p[2])
     )
-    @settings(max_examples=80)
-    def test_round_trip(self, base, target):
+    return st.one_of(st.tuples(blob, blob), spliced)
+
+
+class TestStateDiff:
+    @given(pair=state_pairs())
+    @settings(max_examples=150)
+    def test_round_trip(self, pair):
+        base, target = pair
         assert apply_diff(base, state_diff(base, target)) == target
 
     def test_identical_state_is_one_byte(self):
@@ -105,11 +121,17 @@ class TestStateDiff:
         assert apply_diff(b"", state_diff(b"", b"xyz")) == b"xyz"
         assert apply_diff(b"abc", state_diff(b"abc", b"")) == b""
 
-    @given(base=st.binary(max_size=60), target=st.binary(max_size=60))
-    @settings(max_examples=80)
-    def test_diff_never_much_larger_than_target(self, base, target):
-        """The cost-aware encoder's ceiling: a whole-state literal."""
-        assert len(state_diff(base, target)) <= len(target) + 2 or target == base
+    @given(pair=state_pairs())
+    @settings(max_examples=150)
+    def test_diff_never_larger_than_a_whole_literal(self, pair):
+        """The cost-aware encoder's ceiling: insert opcode + length
+        varint + the target itself (``len + 2`` below 128 bytes, ``+ 3``
+        from there on)."""
+        base, target = pair
+        ceiling = 1 + len(ByteWriter().blob(target))
+        assert len(state_diff(base, target)) <= ceiling
+        if len(target) < 128:
+            assert ceiling == len(target) + 2
 
     def test_unknown_opcode_rejected(self):
         with pytest.raises(ValueError):
@@ -127,6 +149,27 @@ class TestStateDiff:
     def test_truncated_diff_raises_value_error(self, diff):
         with pytest.raises(ValueError):
             apply_diff(b"abcdef", diff)
+
+    @pytest.mark.parametrize(
+        "diff",
+        [
+            bytes([0, 10, 5]),  # copy starts past the end of the base
+            bytes([0, 1, 100]),  # copy runs past the end of the base
+            bytes([0, 6, 1]),  # copy of one byte at the very end + 1
+            b"\x02\x00",  # bytes after the identical opcode
+            b"\x02\x02",
+            b"\x01\x01A\x02",  # identical opcode after other output
+        ],
+    )
+    def test_out_of_range_copy_and_stray_identical_raise(self, diff):
+        """A diff that cannot have come from the encoder must not yield
+        a (wrong) state."""
+        with pytest.raises(ValueError):
+            apply_diff(b"abcdef", diff)
+
+    def test_copy_up_to_the_last_byte_is_fine(self):
+        assert apply_diff(b"abcdef", bytes([0, 2, 4])) == b"cdef"
+        assert apply_diff(b"abcdef", bytes([0, 6, 0])) == b""
 
     @given(base=st.binary(max_size=40), diff=st.binary(max_size=40))
     @settings(max_examples=120)

@@ -1,6 +1,14 @@
 """Tests for the distributed layer: network, ONS, tag memory, sharing,
 coordination, and the centralized baseline."""
 
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,6 +143,169 @@ class TestSharing:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             centroid_compress({})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # ITEM-1 centroid "ab", one diff for ITEM-2 ... then a stray byte.
+            bytes([2, 1, 2, 97, 98, 1, 2, 2, 1, 2, 0]),
+            # ITEM-2 listed twice.
+            bytes([2, 1, 2, 97, 98, 2, 2, 2, 1, 2, 2, 2, 1, 2]),
+            # A diff entry for the centroid's own tag.
+            bytes([2, 1, 2, 97, 98, 1, 2, 1, 1, 2]),
+        ],
+    )
+    def test_bundle_with_leftovers_or_repeated_tags_rejected(self, data):
+        good = bytes([2, 1, 2, 97, 98, 1, 2, 2, 1, 2])
+        assert SharedStateBundle.from_bytes(good).reconstruct() == {
+            EPC(TagKind.ITEM, 1): b"ab",
+            EPC(TagKind.ITEM, 2): b"ab",
+        }
+        with pytest.raises(ValueError):
+            SharedStateBundle.from_bytes(data)
+
+
+def zero_heavy(rng, size):
+    """Bytes shaped like serialized automaton state: mostly zero (small
+    varints, float padding) — the content difflib went cubic on."""
+    return bytes(rng.choice([0, 0, 0, 0, 0, 0, 1, 63, 240]) for _ in range(size))
+
+
+def edited(rng, state, edits):
+    out = bytearray(state)
+    for _ in range(edits):
+        at = rng.randrange(len(out))
+        out[at : at + rng.randrange(1, 9)] = zero_heavy(rng, rng.randrange(9))
+    return bytes(out)
+
+
+def states_digest(states):
+    digest = hashlib.sha256()
+    for tag in sorted(states):
+        digest.update(str(tag).encode())
+        digest.update(len(states[tag]).to_bytes(4, "big"))
+        digest.update(states[tag])
+    return digest.hexdigest()
+
+
+def frozen_bundles():
+    path = os.path.join(os.path.dirname(__file__), "data", "state_bundles.json")
+    with open(path) as fh:
+        return json.load(fh)["bundles"]
+
+
+class TestDeltaEncoder:
+    """The block matcher behind ``state_diff`` / ``centroid_compress``:
+    cost bounded by input size, output a pure function of the mapping,
+    wire format readable by (and from) the encoder it replaced."""
+
+    def test_cost_is_bounded_by_size_not_content(self):
+        """The difflib encoder took 10 s for this diff and 106 s for this
+        bundle; the block matcher takes 3 ms and 0.2 s on the same box.
+        The ceilings leave ~50x headroom for a slow runner, and a
+        quadratic slip would still blow through them."""
+        rng = random.Random(5)
+        base = zero_heavy(rng, 8192)
+        target = edited(rng, base, 40)
+        began = time.perf_counter()
+        diff = state_diff(base, target)
+        unrelated = state_diff(base, zero_heavy(rng, 8192))
+        assert time.perf_counter() - began < 2.0
+        assert apply_diff(base, diff) == target
+        assert len(diff) < len(target) / 2 and len(unrelated) <= 8192 + 3
+
+        shared = zero_heavy(rng, 1024)
+        states = {EPC(TagKind.ITEM, i): edited(rng, shared, 6) for i in range(32)}
+        began = time.perf_counter()
+        bundle = centroid_compress(states)
+        assert time.perf_counter() - began < 10.0
+        assert bundle.reconstruct() == states
+        assert bundle.byte_size() < sum(map(len, states.values())) / 2
+
+    def test_bundle_ignores_insertion_order(self):
+        rng = random.Random(9)
+        shared = zero_heavy(rng, 200)
+        items = [(EPC(TagKind.ITEM, i), edited(rng, shared, i % 4)) for i in range(40)]
+        reference = centroid_compress(dict(items)).to_bytes()
+        for _ in range(5):
+            rng.shuffle(items)
+            assert centroid_compress(dict(items)).to_bytes() == reference
+
+    def test_bundle_ignores_hash_seed(self):
+        script = (
+            "import random\n"
+            "from repro.distributed.sharing import centroid_compress\n"
+            "from repro.sim.tags import EPC, TagKind\n"
+            "rng = random.Random(3)\n"
+            "states = {EPC(TagKind.ITEM, i): bytes(rng.choice([0, 0, 0, 1, 63, 240])"
+            " for _ in range(120)) * (1 + i % 2) for i in range(40)}\n"
+            "print(centroid_compress(states).to_bytes().hex())\n"
+        )
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(sys.path)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1 and outputs.pop().strip()
+
+    def test_modal_state_is_the_centroid_and_copies_cost_one_byte(self):
+        """Quiescent automata: most objects hold the same bytes. Counting
+        each distinct state once would pick a straggler (the three are
+        each other's near-copies); weighting by holders picks the modal
+        state, and each of its copies ships as the one-byte opcode."""
+        quiescent = bytes(range(40))
+        busy = random.Random(4).randbytes(90)
+        stragglers = {EPC(TagKind.ITEM, i): busy + bytes([i]) for i in range(3)}
+        states = {EPC(TagKind.ITEM, 10 + i): quiescent for i in range(9)} | stragglers
+        bundle = centroid_compress(states)
+        assert bundle.centroid_state == quiescent
+        assert bundle.centroid_tag == EPC(TagKind.ITEM, 10)
+        assert [
+            diff for tag, diff in bundle.diffs.items() if states[tag] == quiescent
+        ] == [b"\x02"] * 8
+        assert bundle.reconstruct() == states
+
+    def test_selection_is_exact_for_few_distinct_states(self):
+        """No other choice of centroid gives a smaller bundle."""
+        rng = random.Random(21)
+        shared = zero_heavy(rng, 300)
+        pool = [edited(rng, shared, 1 + i) for i in range(6)]
+        states = {EPC(TagKind.CASE, i): pool[rng.randrange(6)] for i in range(40)}
+        best = min(
+            SharedStateBundle(
+                centroid,
+                states[centroid],
+                {t: state_diff(states[centroid], s) for t, s in states.items() if t != centroid},
+            ).byte_size()
+            for centroid in states
+        )
+        assert centroid_compress(states).byte_size() == best
+
+    @pytest.mark.parametrize("frozen", frozen_bundles(), ids=lambda f: f["name"])
+    def test_bundles_of_the_difflib_encoder_still_decode(self, frozen):
+        states = SharedStateBundle.from_bytes(bytes.fromhex(frozen["bundle"])).reconstruct()
+        assert len(states) == frozen["objects"]
+        assert states_digest(states) == frozen["states_sha256"]
+
+    def test_real_states_bundle_no_larger_than_before(self):
+        """Collapsed weights and automaton states from ``multi_site_chain``
+        (see data/state_bundles.json): 6 486 B is what the difflib
+        encoder made of these three bundles."""
+        old_total = new_total = 0
+        for frozen in frozen_bundles():
+            old = bytes.fromhex(frozen["bundle"])
+            states = SharedStateBundle.from_bytes(old).reconstruct()
+            new = centroid_compress(states)
+            assert new.reconstruct() == states
+            old_total += len(old)
+            new_total += new.byte_size()
+        assert old_total == 6486
+        assert new_total <= 6486
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,8 @@ import pytest
 from repro.core.service import ServiceConfig
 from repro.distributed.coordinator import DistributedDeployment
 from repro.distributed.network import Network
+from repro.obs import telemetry_session
+from repro.obs.summary import main as summary_main
 from repro.queries.q2 import TemperatureExposureQuery
 from repro.runtime import (
     Cluster,
@@ -527,6 +529,31 @@ class TestFederatedQueryRouting:
         for alert in site1_alerts:
             if alert.key in exposed:
                 assert alert.start_time < 700
+
+    def test_handoff_export_span_accounts_the_query_state_bundle(
+        self, federated_scenario, tmp_path, capsys
+    ):
+        """Traced, every query hand-off says what went in and what went
+        on the wire, and the summary CLI turns that into a per-link ratio."""
+        with telemetry_session(capacity=65536, dump_dir=str(tmp_path)) as tel:
+            cluster = run_federated(federated_scenario)
+            spans = [
+                e for e in tel.recorder.entries() if e.get("name") == "handoff.export"
+            ]
+            path = tel.dump(reason="handoff")
+        assert spans and {(s["plane"], s["src"], s["dst"]) for s in spans} == {
+            ("federation", 0, 1)
+        }
+        assert all(s["boundary"] % 300 == 0 and s["states"] > 0 for s in spans)
+        assert (
+            sum(s["wire_bytes"] for s in spans)
+            == cluster.network.bytes_by_kind[QUERY_STATE]
+        )
+        # raw_bytes counts the automaton states alone (no tags, no names).
+        assert all(s["raw_bytes"] >= s["states"] for s in spans)
+        assert summary_main([path]) == 0
+        out = capsys.readouterr().out
+        assert "state bundles per link" in out and "federation/handoff.export" in out
 
     def test_threaded_federation_matches(self, federated_scenario):
         scenario = federated_scenario
