@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
+from repro.core.events import EventBatch, EventLog, change_rows
 from repro.sim.tags import EPC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -284,6 +285,37 @@ class _EventLog:
         if len(self.pending) >= self.seal_every:
             self.seal()
 
+    def extend(
+        self,
+        times: np.ndarray,
+        tags: np.ndarray,
+        places: np.ndarray,
+        containers: np.ndarray,
+    ) -> None:
+        """Append rows given as columns, sealing exactly where row-wise
+        :meth:`append` would: every sealed segment holds ``seal_every``
+        rows. Full segments are cut from the columns by slice; only the
+        rows completing a partial segment and the unsealed tail become
+        pending tuples."""
+        columns = (times, tags, places, containers)
+
+        def to_pending(lo: int, hi: int) -> None:
+            self.pending.extend(zip(*(col[lo:hi].tolist() for col in columns)))
+
+        start, end = 0, len(times)
+        if self.pending:
+            start = min(end, self.seal_every - len(self.pending))
+            to_pending(0, start)
+            if len(self.pending) >= self.seal_every:
+                self.seal()
+        while end - start >= self.seal_every:
+            stop = start + self.seal_every
+            self.segments.append(
+                tuple(col[start:stop].astype(np.int64) for col in columns)
+            )
+            start = stop
+        to_pending(start, end)
+
     def seal(self) -> None:
         if not self.pending:
             return
@@ -467,19 +499,8 @@ class SiteArchive:
         # Absolute cursor: survives the service's memory budget
         # dropping already-ingested events off the front.
         fresh, self._event_cursor = service.events_since(self._event_cursor)
-        for event in fresh:
-            tag_id = self.intern_tag(event.tag)
-            container = (
-                NO_CONTAINER
-                if event.container is None
-                else self.intern_tag(event.container)
-            )
-            self.events.append(event.time, tag_id, event.place, container)
-            self.location.observe(
-                tag_id, event.time, ((event.place, 1.0),), value_only=True
-            )
-            if event.time > self.last_event.get(tag_id, -1):
-                self.last_event[tag_id] = event.time
+        for batch in EventLog.of(fresh).batches:
+            self._ingest_events(batch)
         for tag in sorted(service.containment):
             tag_id = self.intern_tag(tag)
             container = service.containment[tag]
@@ -508,6 +529,42 @@ class SiteArchive:
                 tuple((self.intern_tag(cand), prob) for cand, prob in top),
             )
         self.last_boundary = max(self.last_boundary, boundary)
+
+    def _ingest_events(self, batch: EventBatch) -> None:
+        """Append one columnar batch of emitted events.
+
+        Equivalent, byte for byte, to walking the rows and per row
+        interning tag then container, appending the event row,
+        observing the tag's place and raising its ``last_event`` — but
+        the per-row work is numpy, and Python runs only per distinct
+        tag and per place *change*.
+        """
+        count = len(batch)
+        # Intern in first-encounter order of the row-interleaved
+        # (tag, container) sequence, like the row walk would.
+        interleaved = np.empty(2 * count, dtype=np.int64)
+        interleaved[0::2] = batch.tag
+        interleaved[1::2] = batch.container
+        distinct, first_seen = np.unique(interleaved, return_index=True)
+        # A trailing slot maps container -1 ("none") to NO_CONTAINER.
+        ids = np.full(len(batch.epcs) + 1, NO_CONTAINER, dtype=np.int64)
+        for local in distinct[np.argsort(first_seen, kind="stable")].tolist():
+            if local >= 0:
+                ids[local] = self.intern_tag(batch.epcs[local])
+        tags = ids[batch.tag]
+        self.events.extend(batch.time, tags, batch.place, ids[batch.container])
+        # A tag's location interval can only change at its first row or
+        # where its place differs from its previous row.
+        rows = change_rows(tags, batch.place)
+        for tag, time, place in zip(
+            tags[rows].tolist(), batch.time[rows].tolist(), batch.place[rows].tolist()
+        ):
+            self.location.observe(tag, time, ((place, 1.0),), value_only=True)
+        freshest = np.full(len(self.tag_table), -1, dtype=np.int64)
+        np.maximum.at(freshest, tags, batch.time)
+        for tag in np.flatnonzero(freshest >= 0).tolist():
+            if freshest[tag] > self.last_event.get(tag, -1):
+                self.last_event[tag] = int(freshest[tag])
 
     def ingest_alerts(self, name: str, alerts: Iterable) -> None:
         """Append a query's alerts emitted since the previous ingest.

@@ -94,7 +94,8 @@ class RFInferResult:
     object_masks: dict[EPC, np.ndarray] = field(default_factory=dict)
     #: final believed contents of each container (for location smoothing).
     members: dict[EPC, list[EPC]] = field(default_factory=dict)
-    #: wall-clock seconds per engine phase (e_step / m_step / evidence).
+    #: wall-clock seconds per engine phase (candidates / e_step / m_step /
+    #: evidence).
     timings: dict[str, float] = field(default_factory=dict)
     _solo_cache: dict[EPC, np.ndarray] = field(default_factory=dict, repr=False)
     _location_cache: dict[EPC, np.ndarray] = field(default_factory=dict, repr=False)
@@ -649,8 +650,10 @@ class RFInfer:
     def run(self) -> RFInferResult:
         window = self.window
         config = self.config
+        started = _time.perf_counter()
         candidates = self._select_candidates()
         assignment = self._initial_assignment(candidates)
+        candidates_seconds = _time.perf_counter() - started
         needed_containers = sorted(
             {c for cands in candidates.values() for c in cands}
             | {c for c in assignment.values() if c is not None}
@@ -668,7 +671,12 @@ class RFInfer:
         logz_cache: dict[tuple[EPC, frozenset], np.ndarray] = {}
         weights: dict[EPC, dict[EPC, float]] = {obj: {} for obj in self.objects}
         iterations = 0
-        timings = {"e_step": 0.0, "m_step": 0.0, "evidence": 0.0}
+        timings = {
+            "candidates": candidates_seconds,
+            "e_step": 0.0,
+            "m_step": 0.0,
+            "evidence": 0.0,
+        }
 
         for iterations in range(1, config.max_iterations + 1):
             # E-step: posterior over each needed container's location.

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.changepoint import ChangePoint, ChangePointDetector, calibrate_threshold
 from repro.core.collapsed import CollapsedState
-from repro.core.events import ObjectEvent
+from repro.core.events import EventBatch, EventLog
 from repro.core.likelihood import WindowCache
 from repro.core.online import (
     MemoryBudget,
@@ -37,7 +37,27 @@ from repro.obs import get_telemetry
 from repro.sim.tags import EPC, TagKind
 from repro.sim.trace import Trace
 
-__all__ = ["ServiceConfig", "RunRecord", "StreamingInference"]
+__all__ = ["ServiceConfig", "RunRecord", "StreamingInference", "EventCursorLost"]
+
+
+class EventCursorLost(LookupError):
+    """A consumer asked for events the memory budget already dropped.
+
+    Consumers (query feeds, the archive) must drain each boundary before
+    :meth:`StreamingInference.truncate_history` runs; one that did not
+    has lost ``truncated - cursor`` events for good, and continuing
+    from the retained prefix would silently corrupt its answers.
+    """
+
+    def __init__(self, site: int, cursor: int, truncated: int) -> None:
+        self.site = site
+        self.cursor = cursor
+        self.truncated = truncated
+        super().__init__(
+            f"site {site}: event cursor {cursor} is behind the truncation "
+            f"point {truncated}; {truncated - cursor} events were dropped "
+            "by the memory budget before this consumer read them"
+        )
 
 
 @dataclass(frozen=True)
@@ -103,8 +123,8 @@ class RunRecord:
     iterations: int
     result: RFInferResult | None = None
     #: wall-clock seconds per pipeline phase (detector / window / prune /
-    #: e_step / m_step / evidence / changes / cr / events; the runtime
-    #: adds queries and archive).
+    #: candidates / e_step / m_step / evidence / changes / cr / events;
+    #: the runtime adds queries and archive).
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: tags the stability gate let skip full inference this run.
     pruned_tags: int = 0
@@ -143,7 +163,9 @@ class StreamingInference:
         #: without the crash.
         self.last_weights: dict[EPC, dict[EPC, float]] = {}
         self.changes: list[ChangePoint] = []
-        self.events: list[ObjectEvent] = []
+        #: the emitted event stream: one columnar batch per run, read
+        #: like a list of :class:`~repro.core.events.ObjectEvent`.
+        self.events = EventLog()
         self.runs: list[RunRecord] = []
         #: events/runs dropped off the front by the memory budget —
         #: consumers hold *absolute* cursors (see :meth:`events_since`).
@@ -482,16 +504,19 @@ class StreamingInference:
 
     # -- bounded-memory long streams ------------------------------------
 
-    def events_since(self, cursor: int) -> tuple[list[ObjectEvent], int]:
+    def events_since(self, cursor: int) -> tuple[EventLog, int]:
         """Events a consumer holding absolute position ``cursor`` has
-        not seen, plus its new absolute position.
+        not seen (as column slices), plus its new absolute position.
 
         Consumers (query feeds, the archive) track *absolute* event
         counts, so the memory budget can drop consumed events off the
-        front of ``self.events`` without corrupting anyone's cursor.
+        front of ``self.events`` without corrupting anyone's cursor. A
+        cursor *behind* the truncation point means events were dropped
+        unread: that raises :class:`EventCursorLost`.
         """
-        start = max(cursor - self.events_truncated, 0)
-        fresh = self.events[start:]
+        if cursor < self.events_truncated:
+            raise EventCursorLost(self.site, cursor, self.events_truncated)
+        fresh = self.events[cursor - self.events_truncated :]
         return fresh, self.events_truncated + len(self.events)
 
     def truncate_history(self) -> None:
@@ -516,12 +541,7 @@ class StreamingInference:
         if keep > 0:
             self.runs_truncated += keep
             del self.runs[:keep]
-        keep = 0
-        while keep < len(self.events) and self.events[keep].time < cut:
-            keep += 1
-        if keep > 0:
-            self.events_truncated += keep
-            del self.events[:keep]
+        self.events_truncated += self.events.drop_before(cut)
         for tag in [t for t, r in self.critical_regions.items() if r.end <= cut]:
             del self.critical_regions[tag]
         for tag in [t for t, r in self.stashed_regions.items() if r.end <= cut]:
@@ -560,13 +580,12 @@ class StreamingInference:
         rows, row_epochs = rows[keep], row_epochs[keep]
         tags = window.tags(TagKind.ITEM) + window.tags(TagKind.CASE)
         # Per tag: select rows inside the presence span with an on-site
-        # place estimate, entirely in numpy; only the surviving events
-        # materialize as tuples.
+        # place estimate, entirely in numpy; the surviving events leave
+        # as one columnar batch, never as tuples.
         times_parts: list[np.ndarray] = []
         places_parts: list[np.ndarray] = []
         rank_parts: list[np.ndarray] = []
         emitted: list[tuple[EPC, EPC | None]] = []
-        tag_rank = {tag: i for i, tag in enumerate(sorted(tags))}
         # Resolve presence spans first so the batched Viterbi decode
         # only covers tags that can actually emit events this run.
         candidates: list[tuple[EPC, EPC | None, np.ndarray]] = []
@@ -597,22 +616,36 @@ class StreamingInference:
         times = np.concatenate(times_parts)
         places = np.concatenate(places_parts)
         slots = np.concatenate(rank_parts)
-        ranks = np.fromiter(
-            (tag_rank[tag] for tag, _ in emitted), dtype=np.int64, count=len(emitted)
+        # The batch's EPC table lists the emitting tags in sorted order,
+        # so a tag's table index is also its rank; containers that emit
+        # no event of their own follow.
+        table = sorted(tag for tag, _ in emitted)
+        index = {tag: i for i, tag in enumerate(table)}
+        for _, container in emitted:
+            if container is not None and container not in index:
+                index[container] = len(table)
+                table.append(container)
+        tag_of_slot = np.fromiter(
+            (index[tag] for tag, _ in emitted), dtype=np.int64, count=len(emitted)
+        )
+        container_of_slot = np.fromiter(
+            (-1 if container is None else index[container] for _, container in emitted),
+            dtype=np.int64,
+            count=len(emitted),
         )
         # Runs advance monotonically, so per-run (time, tag) ordering
         # keeps the whole event stream time-ordered for queries.
-        order = np.lexsort((ranks[slots], times))
-        site = self.site
-        self.events.extend(
-            ObjectEvent(
-                time=int(times[i]),
-                tag=emitted[slots[i]][0],
-                site=site,
-                place=int(places[i]),
-                container=emitted[slots[i]][1],
+        order = np.lexsort((tag_of_slot[slots], times))
+        slots = slots[order]
+        self.events.append(
+            EventBatch(
+                time=times[order],
+                tag=tag_of_slot[slots],
+                site=np.broadcast_to(np.int64(self.site), order.shape),
+                place=places[order].astype(np.int64, copy=False),
+                container=container_of_slot[slots],
+                epcs=table,
             )
-            for i in order.tolist()
         )
 
     # -- accessors -------------------------------------------------------------

@@ -26,6 +26,16 @@ system talks to:
   established, so compiled plans are byte-compatible with them —
   the equivalence suite asserts it bit for bit.
 
+**Two ways in.** :meth:`QueryEngine.push` dispatches one tuple through
+the operator DAG and defines what a plan computes.
+:meth:`QueryEngine.push_batch` takes a whole boundary's tuples — the
+inference run's event columns plus the interval's sensor readings —
+and computes the same thing (alerts and their order, migration and
+checkpoint bytes, window tables) with the local plane as numpy column
+operations and the global blocks fed only the rows that can change
+them; :mod:`repro.queries.batch` has the execution model. The site
+runtime uses the batch form.
+
 **Join timing.** When a join's probe side and its window's build side
 share an upstream operator (the co-location monitor joins events
 against the latest event per storage location), window updates are
@@ -38,13 +48,12 @@ regardless of registration order.
 from __future__ import annotations
 
 import struct
-from collections import namedtuple
-from functools import lru_cache
 from operator import attrgetter
-from typing import Any, Callable, Hashable, NamedTuple
+from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from repro._util.encoding import ByteReader, ByteWriter
-from repro.core.events import ObjectEvent
+from repro.core.events import EventLog, ObjectEvent
+from repro.queries.batch import STREAM_SCHEMAS, BatchProgram, EpcCodes, row_type
 from repro.queries.spec import (
     JoinLatest,
     KleeneDuration,
@@ -86,15 +95,8 @@ __all__ = [
 
 #: stream name → tuple type the runtime feeds it with.
 STREAM_TYPES: dict[str, type] = {
-    "events": ObjectEvent,
-    "sensors": SensorReading,
+    name: row for name, (row, _) in STREAM_SCHEMAS.items()
 }
-
-
-@lru_cache(maxsize=None)
-def _row_type(names: tuple[str, ...]):
-    """Cached output-row type for one join projection."""
-    return namedtuple("Row", names)
 
 
 def _getter(fields: tuple[str, ...]) -> Callable[[Any], Hashable]:
@@ -496,6 +498,12 @@ class QueryEngine:
         #: like the stream scheduler; ``None`` caches a miss).
         self._dispatch: dict[type, _SourceOp | None] = {}
         self.plans: dict[str, CompiledPlan] = {}
+        #: every ``(spec node, operator)`` lowered so far, parents first
+        #: — what :class:`~repro.queries.batch.BatchProgram` lays out.
+        self.plan_steps: list[tuple[Node, Any]] = []
+        #: EPC ↔ int codes of the batch path's tag-valued columns.
+        self.codes = EpcCodes()
+        self._program: BatchProgram | None = None
         #: operator instances actually created.
         self.operators_built = 0
         #: cross-query cache hits (a later registration reusing an
@@ -507,7 +515,12 @@ class QueryEngine:
         """Lower ``spec`` onto the engine's shared operator pool."""
         plan = _PlanBuilder(self).build(spec)
         self.plans[spec.name] = plan
+        self._program = None  # laid out again on the next batch
         return plan
+
+    def operator_of(self, node: Node) -> Any:
+        """The (shared) operator instance ``node`` was lowered onto."""
+        return self._ops[node.signature()]
 
     def push(self, item: Any) -> None:
         """Dispatch one stream tuple to its source operator (once,
@@ -534,6 +547,28 @@ class QueryEngine:
             self._dispatch[kind] = source
         if source is not None:
             source.emit(item)
+
+    def push_batch(
+        self,
+        events: "EventLog | Iterable[ObjectEvent]",
+        sensors: Iterable[SensorReading] = (),
+    ) -> None:
+        """Dispatch one batch of both streams — each in time order —
+        to every registered plan at once.
+
+        Equivalent, bit for bit (alerts and their order, every plan's
+        migration and checkpoint bytes, window tables), to merging the
+        two streams by time, sensors first at equal timestamps, and
+        pushing the tuples through :meth:`push` one by one; but the local plane
+        runs as numpy column operations and the scalar global blocks see
+        only the rows that can change them (see
+        :mod:`repro.queries.batch`). ``events`` may be the inference
+        service's columnar :class:`~repro.core.events.EventLog` or any
+        sequence of event tuples.
+        """
+        if self._program is None:
+            self._program = BatchProgram(self)
+        self._program.push(events, sensors)
 
 
 class _PlanBuilder:
@@ -573,6 +608,7 @@ class _PlanBuilder:
             return op
         op = self._create(node)
         self.engine._ops[signature] = op
+        self.engine.plan_steps.append((node, op))
         self.engine.operators_built += 1
         self._record(node, op)
         return op
@@ -619,7 +655,7 @@ class _PlanBuilder:
         if isinstance(node, JoinLatest):
             parent = self._instantiate(node.source)
             window = self._instantiate(node.window)
-            row_type = _row_type(tuple(name for name, _ in node.select))
+            row = row_type(tuple(name for name, _ in node.select))
             plan = []
             for _, path in node.select:
                 side, _, field = path.partition(".")
@@ -627,7 +663,7 @@ class _PlanBuilder:
                     raise ValueError(f"malformed projection path {path!r}")
                 plan.append((side == "left", field))
 
-            def combine(left: Any, right: Any, _plan=tuple(plan), _row=row_type):
+            def combine(left: Any, right: Any, _plan=tuple(plan), _row=row):
                 return _row(
                     *(
                         getattr(left if is_left else right, field)

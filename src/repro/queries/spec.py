@@ -38,10 +38,13 @@ import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+import numpy as np
+
 from repro.sim.tags import EPC, TagKind
 from repro.streams.state import RowCodec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
+    from repro.queries.batch import Rows
     from repro.workloads.catalog import ProductCatalog
 
 __all__ = [
@@ -99,10 +102,21 @@ class _Signed:
 
 
 class Predicate(_Signed):
-    """A declarative boolean clause evaluated on one tuple."""
+    """A declarative boolean clause evaluated on one tuple.
+
+    ``mask`` is the clause's columnar form — one boolean per row of a
+    batch (:class:`~repro.queries.batch.Rows`). A subclass that does not
+    override it inherits the fallback: the rows are materialized and
+    ``__call__`` runs on each.
+    """
 
     def __call__(self, item: Any) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def mask(self, rows: "Rows") -> np.ndarray:
+        return np.fromiter(
+            (bool(self(item)) for item in rows.objects()), dtype=bool, count=len(rows)
+        )
 
 
 _OPS: dict[str, Callable[[Any, Any], bool]] = {
@@ -130,6 +144,11 @@ class Compare(Predicate):
     def __call__(self, item: Any) -> bool:
         return _OPS[self.op](getattr(item, self.field), self.value)
 
+    def mask(self, rows: "Rows") -> np.ndarray:
+        if rows.kinds[self.field] == "epc" or not isinstance(self.value, (int, float)):
+            return super().mask(rows)
+        return _OPS[self.op](rows.cols[self.field], self.value)
+
 
 @dataclass(frozen=True, eq=False)
 class Not(Predicate):
@@ -140,6 +159,9 @@ class Not(Predicate):
     def __call__(self, item: Any) -> bool:
         return not self.inner(item)
 
+    def mask(self, rows: "Rows") -> np.ndarray:
+        return ~rows.mask_of(self.inner)
+
 
 @dataclass(frozen=True, eq=False)
 class And(Predicate):
@@ -149,6 +171,12 @@ class And(Predicate):
 
     def __call__(self, item: Any) -> bool:
         return all(clause(item) for clause in self.clauses)
+
+    def mask(self, rows: "Rows") -> np.ndarray:
+        out = np.ones(len(rows), dtype=bool)
+        for clause in self.clauses:
+            out &= rows.mask_of(clause)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +189,9 @@ class IsFrozenProduct(Predicate):
     def __call__(self, item: Any) -> bool:
         return self.catalog.is_frozen_product(getattr(item, self.field))
 
+    def mask(self, rows: "Rows") -> np.ndarray:
+        return rows.map_distinct(self.field, self.catalog.is_frozen_product)
+
 
 @dataclass(frozen=True, eq=False)
 class ContainerIsFreezer(Predicate):
@@ -171,6 +202,9 @@ class ContainerIsFreezer(Predicate):
 
     def __call__(self, item: Any) -> bool:
         return self.catalog.is_freezer(getattr(item, self.field))
+
+    def mask(self, rows: "Rows") -> np.ndarray:
+        return rows.map_distinct(self.field, self.catalog.is_freezer)
 
 
 @dataclass(frozen=True)
@@ -183,6 +217,9 @@ class KindIs(Predicate):
     def __call__(self, item: Any) -> bool:
         tag: EPC = getattr(item, self.field)
         return tag.kind is self.kind
+
+    def mask(self, rows: "Rows") -> np.ndarray:
+        return rows.map_distinct(self.field, lambda tag: tag.kind is self.kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +245,23 @@ class TypeConflict(Predicate):
             (self.catalog.product_type(a), self.catalog.product_type(b))
         )
         return pair in self.conflicts
+
+    def mask(self, rows: "Rows") -> np.ndarray:
+        # Product types as small ints (one catalog lookup per distinct
+        # tag), then one conflict-table lookup per row.
+        names: dict[str, int] = {}
+
+        def type_id(tag: EPC) -> int:
+            return names.setdefault(self.catalog.product_type(tag), len(names))
+
+        left = rows.map_distinct(self.left, type_id, dtype=np.int64)
+        right = rows.map_distinct(self.right, type_id, dtype=np.int64)
+        table = np.array(
+            [[frozenset((a, b)) in self.conflicts for b in names] for a in names],
+            dtype=bool,
+        ).reshape(len(names), len(names))
+        different = rows.cols[self.left] != rows.cols[self.right]
+        return different & table[left, right]
 
 
 # -- plan nodes ------------------------------------------------------------

@@ -113,8 +113,8 @@ class SiteNode:
         #: compiled into it, with identical local sub-plans instantiated
         #: once across all registered queries.
         self.engine = QueryEngine()
-        #: names of queries dispatched through the engine (their tuples
-        #: must be pushed once into the engine, not once per query).
+        #: names of queries dispatched through the engine (each
+        #: boundary's batch enters the engine once, not once per query).
         self._engine_queries: set[str] = set()
         self.router = QueryRouter(self.queries)
         #: append-only history of this site's inference output, fed at
@@ -266,8 +266,8 @@ class SiteNode:
         return fresh
 
     def advance_to(self, boundary: int) -> None:
-        """One inference tick: run RFINFER, feed new tuples to queries,
-        then append the boundary's output to the historical archive.
+        """One inference tick: run RFINFER, hand the run's event batch
+        to the queries, then append it to the historical archive.
 
         Under a memory budget the boundary ends by truncating the
         service's retained per-run state — after the archive (the spill
@@ -311,6 +311,15 @@ class SiteNode:
                 self.archive.ingest_alerts(name, alerts)
 
     def _feed_queries(self, boundary: int) -> None:
+        """Hand the boundary's new tuples — the run's event columns and
+        the interval's sensor readings — to the registered queries.
+
+        Compiled plans get them as **one batch**: the shared engine
+        runs its local plane columnar and reproduces the time-ordered
+        merge (sensors first at equal timestamps) by arrival rank, so no
+        tuple is built for them. Hand-written queries are still driven
+        tuple by tuple, from lazily materialized events.
+        """
         events, self._event_pos = self.service.events_since(self._event_pos)
         hi = self._sensor_pos
         while hi < len(self._sensors) and self._sensors[hi].time < boundary:
@@ -319,19 +328,16 @@ class SiteNode:
         self._sensor_pos = hi
         if not self.queries or (not events and not sensors):
             return
-        engine = self.engine if self._engine_queries else None
+        if self._engine_queries:
+            self.engine.push_batch(events, sensors)
         direct = [
             query
             for name, query in self.queries.items()
             if name not in self._engine_queries
         ]
-        # Sensors first at equal timestamps, as the stream engine does.
-        # Each tuple enters the shared engine exactly once — the DAG
-        # fans it out to every compiled plan — then goes to any
-        # hand-written queries directly.
+        if not direct:
+            return
         for item in merge_by_time(sensors, events):
-            if engine is not None:
-                engine.push(item)
             for query in direct:
                 if isinstance(item, ObjectEvent):
                     query.on_event(item)

@@ -21,9 +21,11 @@ def merge_by_time(*streams: Iterable[Any]) -> Iterator[Any]:
     Tie-break contract (explicit, relied upon by callers): the merge is
     *stable*. At equal timestamps, tuples from an earlier argument
     stream precede tuples from a later one, and tuples within one
-    stream keep their original order. The site runtime passes
+    stream keep their original order. The site runtime merges
     ``(sensors, events)`` so same-epoch sensor readings land in window
-    tables before the object events that probe them.
+    tables before the object events that probe them — literally for
+    hand-written queries, and as the arrival *rank* the batch query
+    engine (:mod:`repro.queries.batch`) orders its columns by.
     """
     return heapq.merge(*streams, key=lambda item: item.time)
 

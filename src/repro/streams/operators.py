@@ -1,8 +1,17 @@
 """Push-based relational stream operators (CQL subset).
 
 Each operator receives tuples via :meth:`push` and forwards derived
-tuples to its subscribers. The subset implemented here is what the
-paper's monitoring queries use:
+tuples to its subscribers. This tuple-at-a-time form *defines* the
+semantics, and is what hand-wired pipelines and
+:meth:`QueryEngine.push <repro.queries.compiler.QueryEngine.push>`
+drive; a site's runtime does not feed compiled plans this way. It hands
+each boundary's tuples to
+:meth:`QueryEngine.push_batch <repro.queries.compiler.QueryEngine.push_batch>`,
+which evaluates ``Filter``/``LatestByKey``/``NowJoin`` sub-plans as
+column operations over the whole batch (:mod:`repro.queries.batch`) and
+must reproduce, bit for bit, what pushing the tuples through these
+operators one by one would have produced — window tables included. The
+subset implemented here is what the paper's monitoring queries use:
 
 * ``Filter`` / ``Map`` — stateless selection and projection;
 * ``LatestByKey`` — the ``[Partition By k Rows 1]`` window: a relation

@@ -7,9 +7,12 @@ exactly match the inference snapshots the site emitted at those epochs
 site's archive must be bit-identical to the fault-free run's.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.archive import NO_CONTAINER, SiteArchive, decode_archive, encode_archive
+from repro.core.events import EventBatch, EventLog, ObjectEvent
 from repro.core.service import ServiceConfig
 from repro.queries.q2 import TemperatureExposureQuery
 from repro.runtime import Cluster
@@ -244,3 +247,130 @@ class TestArchiveCodec:
         for cut in range(len(data)):
             with pytest.raises(ValueError):
                 decode_archive(data[:cut])
+
+
+# -- columnar ingest vs the row walk it replaced -----------------------------
+
+_POOL = [EPC(TagKind.ITEM, i) for i in range(4)] + [EPC(TagKind.CASE, i) for i in range(2)]
+
+
+class _EventsOnly:
+    """The slice of a service ``ingest_service`` reads, events only."""
+
+    containment: dict = {}
+    last_weights: dict = {}
+
+    def __init__(self):
+        self.events: list = []
+        self.last_run_time = 0
+
+    def events_since(self, cursor):
+        # Like the real service's batches, the EPC table is in sorted
+        # order — not the first-encounter order interning must follow.
+        batch = EventBatch.from_events(self.events[cursor:])
+        order = sorted(range(len(batch.epcs)), key=batch.epcs.__getitem__)
+        remap = np.full(len(order) + 1, -1)  # trailing slot: container -1
+        remap[order] = np.arange(len(order))
+        batch = EventBatch(
+            batch.time, remap[batch.tag], batch.site, batch.place,
+            remap[batch.container], [batch.epcs[i] for i in order],
+        )
+        return EventLog([batch]), len(self.events)
+
+
+def ingest_row_by_row(archive, events, boundary):
+    """What ``ingest_service`` did per event before it went columnar."""
+    for event in events:
+        tag_id = archive.intern_tag(event.tag)
+        container = (
+            NO_CONTAINER if event.container is None else archive.intern_tag(event.container)
+        )
+        archive.events.append(event.time, tag_id, event.place, container)
+        archive.location.observe(tag_id, event.time, ((event.place, 1.0),), value_only=True)
+        if event.time > archive.last_event.get(tag_id, -1):
+            archive.last_event[tag_id] = event.time
+    archive.last_boundary = boundary
+
+
+@st.composite
+def boundary_batches(draw):
+    """A few boundaries' worth of time-ordered events."""
+    batches, now = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        steps = draw(st.lists(st.integers(0, 2), max_size=25))
+        batch = []
+        for step in steps:
+            now += step
+            batch.append(
+                ObjectEvent(
+                    now,
+                    draw(st.sampled_from(_POOL)),
+                    0,
+                    draw(st.integers(0, 2)),
+                    draw(st.sampled_from([None, *_POOL[4:]])),
+                )
+            )
+        batches.append(batch)
+        now += 1
+    return batches
+
+
+class TestColumnarIngest:
+    @pytest.mark.parametrize("seal_every", [1, 7, 512])
+    @settings(max_examples=60, deadline=None)
+    @given(batches=boundary_batches())
+    def test_bytes_and_segment_boundaries_match_the_row_walk(self, seal_every, batches):
+        columnar, by_row = SiteArchive(3, seal_every), SiteArchive(3, seal_every)
+        service = _EventsOnly()
+        for number, batch in enumerate(batches, start=1):
+            service.events.extend(batch)
+            service.last_run_time = 300 * number
+            columnar.ingest_service(service)
+            ingest_row_by_row(by_row, batch, 300 * number)
+            assert encode_archive(columnar) == encode_archive(by_row)
+        for name in ("events", "location"):
+            got, want = getattr(columnar, name), getattr(by_row, name)
+            assert [len(seg[0]) for seg in got.segments] == [
+                len(seg[0]) for seg in want.segments
+            ]
+            assert got.pending == want.pending
+            assert all(
+                len(seg[0]) == seal_every for seg in columnar.events.segments
+            )
+        assert columnar.tag_table == by_row.tag_table
+        assert columnar.last_event == by_row.last_event
+        assert columnar.location.open == by_row.location.open
+
+    def test_service_events_reach_the_archive_unchanged(self):
+        """End to end: what a real service emitted is what a row walk
+        over its (materialized) events would have archived."""
+        scenario = cold_chain_scenario(seed=7, n_sites=1, horizon=900)
+        cluster = run_cluster(scenario.traces)
+        node = cluster.nodes[0]
+        by_row = SiteArchive(node.site)
+        ingest_row_by_row(by_row, list(node.service.events), node.archive.last_boundary)
+        assert len(node.service.events) > by_row.seal_every  # sealed at least once
+
+        def named(archive, tag_id):
+            return None if tag_id == NO_CONTAINER else archive.tag_of(tag_id)
+
+        def event_rows(archive):
+            return [
+                (time, named(archive, tag), place, named(archive, container))
+                for time, tag, place, container in archive.events.rows()
+            ]
+
+        def location_rows(archive):
+            log = archive.location
+            sealed = list(log._sealed_rows()) + log.pending
+            return [(named(archive, row[0]), *row[1:]) for row in sealed]
+
+        # Tag ids differ (the live archive also interns containment
+        # tags between batches), so compare by tag.
+        assert event_rows(node.archive) == event_rows(by_row)
+        assert location_rows(node.archive) == location_rows(by_row)
+        for name in ("events", "location"):
+            got, want = getattr(node.archive, name), getattr(by_row, name)
+            assert [len(seg[0]) for seg in got.segments] == [
+                len(seg[0]) for seg in want.segments
+            ]

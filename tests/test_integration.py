@@ -1,5 +1,8 @@
 """End-to-end integration: simulate → infer → query → score."""
 
+import os
+import runpy
+
 import pytest
 
 from repro.core.events import ObjectEvent, events_from_truth
@@ -69,3 +72,21 @@ class TestEndToEndQuery(object):
         times = [e.time for e in service.events]
         assert times
         assert times == sorted(times)
+
+
+class TestExamples:
+    """The examples that read ``service.events`` as a list (length,
+    ``sorted``, iteration) keep running on the columnar event log."""
+
+    EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
+
+    @pytest.mark.parametrize(
+        "script, expected",
+        [
+            ("cold_chain_monitoring.py", "precision="),
+            ("hospital_tracking.py", "deviation alerts"),
+        ],
+    )
+    def test_example_runs(self, script, expected, capsys):
+        runpy.run_path(os.path.join(self.EXAMPLES, script), run_name="__main__")
+        assert expected in capsys.readouterr().out

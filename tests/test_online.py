@@ -23,7 +23,7 @@ from repro.core.online import (
     OnlineConfig,
     interval_signals,
 )
-from repro.core.service import ServiceConfig, StreamingInference
+from repro.core.service import EventCursorLost, ServiceConfig, StreamingInference
 from repro.sim.tags import EPC, TagKind
 from repro.workloads.scenarios import cold_chain_scenario
 
@@ -268,10 +268,21 @@ class TestMemoryBudget:
         assert cursor == service.events_truncated + len(service.events)
         tail, same = service.events_since(cursor)
         assert tail == [] and same == cursor
-        # A lagging consumer is clamped to the retained prefix rather
-        # than silently skipping ahead.
-        lagging, _ = service.events_since(0)
-        assert lagging == service.events
+
+    def test_lagging_cursor_is_a_loud_typed_error(self, service):
+        # A consumer that did not drain before the budget truncated has
+        # lost events for good: resuming it from the retained prefix
+        # would silently skip them, so the service refuses, naming the
+        # site, the cursor and the truncation point.
+        with pytest.raises(EventCursorLost) as caught:
+            service.events_since(0)
+        error = caught.value
+        assert (error.site, error.cursor) == (service.site, 0)
+        assert error.truncated == service.events_truncated > 0
+        assert f"site {service.site}" in str(error)
+        # The last position that is still whole keeps working.
+        events, _ = service.events_since(service.events_truncated)
+        assert len(events) == len(service.events)
 
     def test_windows_clamped_to_horizon(self, service):
         epochs = service._window_epochs(service.last_run_time)

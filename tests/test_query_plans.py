@@ -11,10 +11,12 @@ sharing counts, exercises the two new declarative monitors, and
 property-tests the generic plan-state codecs.
 """
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.events import ObjectEvent, events_from_truth
+from repro.core.events import EventLog, ObjectEvent, events_from_truth
 from repro.core.service import ServiceConfig, StreamingInference
 from repro.queries.compiler import QueryEngine, RouteAutomaton
 from repro.queries.legacy import (
@@ -22,18 +24,31 @@ from repro.queries.legacy import (
     LegacyPathDeviationQuery,
     LegacyTemperatureExposureQuery,
 )
-from repro.queries.q1 import SENSOR_CODEC, FreezerExposureQuery
-from repro.queries.q2 import TemperatureExposureQuery
-from repro.queries.spec import RouteConformance, Stream
-from repro.queries.tracking import PathDeviationQuery
+from repro.queries.q1 import SENSOR_CODEC, FreezerExposureQuery, freezer_exposure_spec
+from repro.queries.q2 import TemperatureExposureQuery, temperature_exposure_spec
+from repro.queries.spec import (
+    Compare,
+    JoinLatest,
+    KindIs,
+    KleeneDuration,
+    Latest,
+    Predicate,
+    QuerySpec,
+    RouteConformance,
+    Stream,
+    Where,
+)
+from repro.queries.tracking import PathDeviationQuery, path_deviation_spec
 from repro.runtime import Cluster
 from repro.sim.sensors import SensorReading
 from repro.sim.tags import EPC, TagKind
-from repro.streams.engine import StreamScheduler
+from repro.streams.engine import StreamScheduler, merge_by_time
 from repro.workloads.catalog import ProductCatalog
 from repro.workloads.monitors import (
+    EVENT_CODEC,
     ColocationBreachQuery,
     DwellTimeQuery,
+    colocation_breach_spec,
     dwell_time_spec,
 )
 from repro.workloads.scenarios import cold_chain_scenario
@@ -623,3 +638,340 @@ class TestCodecProperties:
             query.import_state(EPC(TagKind.CASE, 0), data)
         except ValueError:
             pass
+
+
+# -- batch path vs tuple-at-a-time push ------------------------------------
+
+#: a small closed world, so generated streams collide on keys, tags
+#: and timestamps often enough to reach every branch.
+B_ITEMS = [EPC(TagKind.ITEM, i) for i in range(4)]
+B_CASES = [EPC(TagKind.CASE, i) for i in range(3)]
+B_TAGS = B_ITEMS + B_CASES
+
+
+def batch_catalog() -> ProductCatalog:
+    catalog = ProductCatalog()
+    catalog.register_freezer_case(B_CASES[0], B_ITEMS[:2])
+    catalog.register_typed_case(B_CASES[1], [B_ITEMS[2]], "chemical")
+    return catalog
+
+
+def _timed(draw, row, max_size):
+    """Rows stamped with non-decreasing times (repeats included)."""
+    steps = draw(st.lists(st.integers(0, 3), max_size=max_size))
+    rows, now = [], 0
+    for step in steps:
+        now += step
+        rows.append(draw(row(now)))
+    return rows
+
+
+@st.composite
+def event_streams(draw, max_size=40):
+    return _timed(
+        draw,
+        lambda now: st.builds(
+            ObjectEvent,
+            st.just(now),
+            st.sampled_from(B_TAGS),
+            st.integers(0, 1),
+            st.integers(0, 2),
+            st.sampled_from([None, *B_CASES]),
+        ),
+        max_size,
+    )
+
+
+@st.composite
+def sensor_streams(draw, max_size=25):
+    return _timed(
+        draw,
+        lambda now: st.builds(
+            SensorReading,
+            st.just(now),
+            st.integers(0, 1),
+            st.integers(0, 2),
+            st.floats(-20.0, 30.0, allow_nan=False),
+        ),
+        max_size,
+    )
+
+
+def _shipped_specs(catalog):
+    return {
+        "q1": lambda: freezer_exposure_spec(catalog, 3, 0.0),
+        "q2": lambda: temperature_exposure_spec(catalog, 4, 10.0),
+        "dwell": lambda: dwell_time_spec(3, kind=TagKind.CASE, max_gap=2),
+        "colocation": lambda: colocation_breach_spec(
+            catalog,
+            conflicts=(("frozen", "chemical"), ("frozen", "dry")),
+            duration=2,
+            max_gap=3,
+        ),
+        "tracking": lambda: path_deviation_spec(
+            {B_CASES[0]: (0, 1), B_ITEMS[0]: (1, 0), B_CASES[2]: (0,)}
+        ),
+    }
+
+
+#: every shipped spec alone, Q1+Q2 on one shared engine, and all five.
+ENGINE_MIXES = [
+    ("q1",), ("q2",), ("q1", "q2"), ("dwell",), ("colocation",), ("tracking",),
+    ("q1", "q2", "dwell", "colocation", "tracking"),
+]
+
+
+def build_engine(names, catalog):
+    specs = _shipped_specs(catalog)
+    engine = QueryEngine()
+    return engine, {name: engine.register(specs[name]()) for name in names}
+
+
+def merged(events, sensors):
+    """The one arrival order both paths must honour."""
+    return list(merge_by_time(sensors, events))
+
+
+def push_batches(engine, chunks):
+    for chunk in chunks:
+        engine.push_batch(
+            [t for t in chunk if isinstance(t, ObjectEvent)],
+            [t for t in chunk if isinstance(t, SensorReading)],
+        )
+
+
+def assert_plans_identical(got, want):
+    """Alerts in order, every tag's migration bytes, checkpoint bytes
+    and window relations."""
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].alerts == want[name].alerts, name
+        for tag in B_TAGS:
+            assert got[name].export_state(tag) == want[name].export_state(tag), (name, tag)
+        assert got[name].snapshot_state() == want[name].snapshot_state(), name
+        assert [w.table for w in got[name].windows] == [
+            w.table for w in want[name].windows
+        ], name
+
+
+class TestBatchEquivalence:
+    """``push_batch`` reproduces tuple-at-a-time ``push`` bit for bit."""
+
+    @pytest.mark.parametrize("names", ENGINE_MIXES, ids="+".join)
+    @settings(max_examples=40, deadline=None)
+    @given(events=event_streams(), sensors=sensor_streams())
+    def test_one_batch_matches_push(self, names, events, sensors):
+        catalog = batch_catalog()
+        ref_engine, ref = build_engine(names, catalog)
+        for item in merged(events, sensors):
+            ref_engine.push(item)
+        engine, plans = build_engine(names, catalog)
+        engine.push_batch(EventLog.of(events), sensors)  # the columnar hand-over
+        assert_plans_identical(plans, ref)
+
+    @pytest.mark.parametrize("names", ENGINE_MIXES, ids="+".join)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        events=event_streams(),
+        sensors=sensor_streams(),
+        cuts=st.lists(st.integers(0, 65), max_size=5),
+        import_after=st.integers(0, 5),
+    )
+    def test_arbitrary_cuts_and_a_mid_stream_import(
+        self, names, events, sensors, cuts, import_after
+    ):
+        """The stream cut into batches anywhere — between same-epoch
+        sensor and event tuples included — with migrated state absorbed
+        between two batches, still matches pushing tuple by tuple."""
+        catalog = batch_catalog()
+        stream = merged(events, sensors)
+        bounds = sorted({0, len(stream), *(c for c in cuts if c < len(stream))})
+        chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+        # State another site would hand over: whatever the whole stream
+        # leaves behind, absorbed after chunk ``import_after``.
+        donor_engine, donor = build_engine(names, catalog)
+        for item in stream:
+            donor_engine.push(item)
+        migrated = [
+            (name, tag, data)
+            for name in names
+            for tag in B_TAGS
+            if (data := donor[name].export_state(tag)) is not None
+        ]
+        ref_engine, ref = build_engine(names, catalog)
+        engine, plans = build_engine(names, catalog)
+        for index, chunk in enumerate(chunks):
+            for item in chunk:
+                ref_engine.push(item)
+            push_batches(engine, [chunk])
+            if index == import_after:
+                for name, tag, data in migrated:
+                    ref[name].import_state(tag, data)
+                    plans[name].import_state(tag, data)
+        assert_plans_identical(plans, ref)
+
+    def test_cut_between_same_epoch_sensor_and_event(self):
+        catalog = batch_catalog()
+        frozen = B_ITEMS[0]
+        warm = [SensorReading(t, 0, 1, 20.0) for t in (0, 5)]
+        events = [ObjectEvent(t, frozen, 0, 1, None) for t in (0, 5, 9)]
+        ref_engine, ref = build_engine(("q1", "q2"), catalog)
+        for item in merged(events, warm):
+            ref_engine.push(item)
+        assert ref["q1"].alerts  # the 0→9 exposure outlasts the duration
+        engine, plans = build_engine(("q1", "q2"), catalog)
+        # Epoch 5's sensor reading ends one batch, its event opens the next.
+        engine.push_batch(events[:1], warm)
+        engine.push_batch(events[1:], [])
+        assert_plans_identical(plans, ref)
+
+    def test_inferred_event_log_matches_push(self):
+        """The production hand-over: a service's columnar event log."""
+        scenario = cold_chain_scenario(seed=4)
+        service = StreamingInference(
+            scenario.trace,
+            ServiceConfig(
+                run_interval=300, recent_history=600, truncation="cr",
+                emit_events=True,
+            ),
+        )
+        service.run_until(scenario.horizon)
+        sensors = list(scenario.sensor_stream(0))
+
+        def engine_with_plans():
+            engine = QueryEngine()
+            queries = [
+                FreezerExposureQuery(scenario.catalog, 300),
+                TemperatureExposureQuery(scenario.catalog, 400),
+            ]
+            plans = [query.bind(engine) for query in queries]
+            plans.append(
+                engine.register(
+                    colocation_breach_spec(
+                        scenario.catalog, conflicts=(("frozen", "dry"),), duration=100
+                    )
+                )
+            )
+            return engine, plans
+
+        ref_engine, ref = engine_with_plans()
+        for item in merged(service.events, sensors):
+            ref_engine.push(item)
+        engine, plans = engine_with_plans()
+        engine.push_batch(service.events, sensors)
+        assert any(plan.alerts for plan in ref)
+        for got, want in zip(plans, ref):
+            assert got.alerts == want.alerts
+            assert got.snapshot_state() == want.snapshot_state()
+            for tag in scenario.catalog.frozen_items:
+                assert got.export_state(tag) == want.export_state(tag)
+
+
+class TestBatchFallbacksAndDagOrder:
+    """Plans the shipped specs do not exercise: predicates without a
+    columnar form, hand-wired subscribers, and DAGs whose same-tuple
+    visit order is not the common one."""
+
+    @staticmethod
+    def _both(register, events):
+        """``register(engine) -> plans`` driven tuple by tuple, and in
+        two batches."""
+        ref_engine = QueryEngine()
+        ref = register(ref_engine)
+        for item in events:
+            ref_engine.push(item)
+        engine = QueryEngine()
+        plans = register(engine)
+        half = len(events) // 2
+        push_batches(engine, [events[:half], events[half:]])
+        return plans, ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(events=event_streams())
+    def test_unknown_predicate_takes_the_row_fallback(self, events):
+        @dataclass(frozen=True)
+        class OddPlace(Predicate):  # no ``mask``: row materialization
+            def __call__(self, item):
+                return item.place % 2 == 1
+
+        def register(engine):
+            odd = Where(Stream("events"), OddPlace())
+            pattern = KleeneDuration(
+                odd, key=("tag",), time="time", value="place", duration=2, max_gap=4
+            )
+            return {"odd": engine.register(QuerySpec("odd", pattern))}
+
+        plans, ref = self._both(register, events)
+        assert_plans_identical(plans, ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(events=event_streams())
+    def test_hand_wired_subscriber_sees_the_same_rows(self, events):
+        seen: list[list] = []  # one list per engine, in registration order
+
+        def register(engine):
+            cases = Where(Stream("events"), KindIs(TagKind.CASE))
+            pattern = KleeneDuration(
+                cases, key=("tag",), time="time", value="place", duration=2
+            )
+            plan = engine.register(QuerySpec("cases", pattern))
+            seen.append([])
+            engine.operator_of(cases).subscribe(seen[-1].append)
+            return {"cases": plan}
+
+        plans, ref = self._both(register, events)
+        assert_plans_identical(plans, ref)
+        pushed, batched = seen
+        assert batched == pushed == [e for e in events if e.tag.kind is TagKind.CASE]
+
+    @settings(max_examples=40, deadline=None)
+    @given(events=event_streams())
+    def test_same_tuple_reset_before_push_follows_dag_order(self, events):
+        """One tuple can both reset and extend a run; which happens
+        first is the DAG's visit order. Registering the reset filter
+        first (shared from an earlier plan) makes the reset lead."""
+        def register(engine):
+            source = Stream("events")
+            low = Where(source, Compare("place", "<=", 1))
+            high = Where(source, Compare("place", ">=", 1))
+            first = KleeneDuration(low, key=("tag",), time="time", value="place", duration=2)
+            second = KleeneDuration(
+                high, key=("tag",), time="time", value="place", duration=2,
+                resets=(low,),
+            )
+            third = KleeneDuration(
+                low, key=("tag",), time="time", value="time", duration=3,
+                resets=(high,),
+            )
+            return {
+                name: engine.register(QuerySpec(name, block))
+                for name, block in (("first", first), ("second", second), ("third", third))
+            }
+
+        plans, ref = self._both(register, events)
+        assert_plans_identical(plans, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(events=event_streams())
+    def test_join_sees_own_update_when_the_dag_updates_first(self, events):
+        """A window built over a *filter* of the join's source is
+        updated (inside the filter's subtree) before the join probes:
+        the case tuple finds itself. The batch join must agree."""
+        def register(engine):
+            source = Stream("events")
+            cases = Latest(
+                Where(source, KindIs(TagKind.CASE)), key=("site", "place"),
+                codec=EVENT_CODEC,
+            )
+            joined = JoinLatest(
+                source, cases, probe=("site", "place"),
+                select=(("time", "left.time"), ("tag", "left.tag"),
+                        ("case", "right.tag"), ("since", "right.time")),
+            )
+            pattern = KleeneDuration(
+                joined, key=("tag",), time="time", value="since", duration=2, max_gap=3
+            )
+            return {"near": engine.register(QuerySpec("near", pattern))}
+
+        plans, ref = self._both(register, events)
+        assert_plans_identical(plans, ref)

@@ -2,9 +2,13 @@
 
 from typing import NamedTuple
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.core.events import EventBatch, EventLog, ObjectEvent
+from repro.queries.batch import _latest_before, _row_keys
+from repro.sim.tags import EPC, TagKind
 from repro.streams.engine import StreamScheduler, merge_by_time
 from repro.streams.operators import (
     WINDOW_UPDATE_PRIORITY,
@@ -326,3 +330,152 @@ class TestStateEncoding:
         assert back.start_time == start
         assert back.last_time == last
         assert back.values == pytest.approx(values)
+
+
+# -- the columnar hand-over --------------------------------------------------
+
+_TAGS = [EPC(TagKind.ITEM, 1), EPC(TagKind.ITEM, 2), EPC(TagKind.CASE, 1)]
+
+
+@st.composite
+def object_events(draw, max_size=30):
+    steps = draw(st.lists(st.integers(0, 2), max_size=max_size))
+    events, now = [], 0
+    for step in steps:
+        now += step
+        events.append(
+            ObjectEvent(
+                now,
+                draw(st.sampled_from(_TAGS)),
+                draw(st.integers(0, 1)),
+                draw(st.integers(0, 3)),
+                draw(st.sampled_from([None, _TAGS[2]])),
+            )
+        )
+    return events
+
+
+def log_of(events, cuts):
+    """``events`` as a log of several batches, cut at ``cuts``."""
+    bounds = sorted({0, len(events), *(c for c in cuts if c < len(events))})
+    return EventLog(
+        EventBatch.from_events(events[a:b]) for a, b in zip(bounds, bounds[1:])
+    )
+
+
+class TestEventLog:
+    """The columnar log still reads like the list it replaced."""
+
+    @given(events=object_events(), cuts=st.lists(st.integers(0, 30), max_size=3))
+    def test_reads_like_a_list(self, events, cuts):
+        log = log_of(events, cuts)
+        assert len(log) == len(events)
+        assert bool(log) == bool(events)
+        assert list(log) == events
+        assert log == events and events == log
+        assert log == log_of(events, [])  # batching is not identity
+        assert log != events + [ObjectEvent(99, _TAGS[0], 0, 0, None)]
+        for index in range(-len(events), len(events)):
+            assert log[index] == events[index]
+        with pytest.raises(IndexError):
+            log[len(events)]
+        assert sorted(log, key=lambda e: e.time) == events
+
+    @given(
+        events=object_events(),
+        cuts=st.lists(st.integers(0, 30), max_size=3),
+        lo=st.integers(-35, 35),
+        hi=st.integers(-35, 35),
+    )
+    def test_slices_are_logs_over_column_views(self, events, cuts, lo, hi):
+        log = log_of(events, cuts)
+        assert isinstance(log[lo:hi], EventLog)
+        assert log[lo:hi] == events[lo:hi]
+        assert log[lo:] == events[lo:]
+        assert log[::2] == events[::2]
+
+    @given(
+        events=object_events(),
+        cuts=st.lists(st.integers(0, 30), max_size=3),
+        cut_time=st.integers(0, 40),
+    )
+    def test_drop_before_cuts_by_time(self, events, cuts, cut_time):
+        log = log_of(events, cuts)
+        kept = [e for e in events if e.time >= cut_time]
+        assert log.drop_before(cut_time) == len(events) - len(kept)
+        assert log == kept
+
+
+class TestBatchKernels:
+    """The join and key kernels against the scalar operators."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 3),  # key
+                st.sampled_from(["probe", "build", "both"]),
+            ),
+            max_size=30,
+        ),
+        build_first=st.booleans(),
+    )
+    def test_as_of_join_matches_now_join(self, rows, build_first):
+        """``_latest_before`` finds what a ``NowJoin`` against a
+        ``LatestByKey`` would have looked up, tuple by tuple — with the
+        window update wired after (or, ``build_first``, before) the
+        probe of the same tuple."""
+        table = LatestByKey(lambda t: t[1])
+        found = {}
+        join = NowJoin(
+            table, probe_key=lambda t: t[1], combine=lambda left, right: (left, right)
+        )
+        join.subscribe(lambda pair: found.__setitem__(pair[0][0], pair[1][0]))
+        probes, builds = [], []
+        for rank, (key, role) in enumerate(rows):
+            item = (rank, key)
+            steps = []
+            if role != "build":
+                probes.append(item)
+                steps.append(join.push)
+            if role != "probe":
+                builds.append(item)
+                steps.append(table.push)
+            for step in reversed(steps) if build_first else steps:
+                step(item)
+        keys = np.array([k for _, k in probes] + [k for _, k in builds], dtype=np.int64)
+        match = _latest_before(
+            keys,
+            np.array([r for r, _ in probes], dtype=np.int64),
+            np.array([r for r, _ in builds], dtype=np.int64),
+            build_first,
+        )
+        got = {
+            probes[i][0]: builds[j][0] for i, j in enumerate(match.tolist()) if j >= 0
+        }
+        assert got == found
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, -(2**62), 2**62, 7]),
+                st.integers(0, 2),
+                st.sampled_from([-(2**40), 0, 2**40]),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_row_keys_agree_exactly_when_rows_do(self, rows):
+        """Also when the value ranges are too wide for mixed radix and
+        the columns have to be re-densified."""
+        columns = [np.array(col, dtype=np.int64) for col in zip(*rows)]
+        keys = _row_keys(columns).tolist()
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
+                assert (keys[i] == keys[j]) == (a == b)
+
+    def test_row_keys_of_float_columns(self):
+        keys = _row_keys([np.array([0.5, 1.5, 0.5]), np.array([1, 1, 1])]).tolist()
+        assert keys[0] == keys[2] != keys[1]
