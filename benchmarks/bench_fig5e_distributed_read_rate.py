@@ -10,7 +10,7 @@ from _common import emit_table, pct
 
 from repro.core.service import ServiceConfig
 from repro.distributed.centralized import CentralizedDeployment
-from repro.distributed.coordinator import DistributedDeployment
+from repro.runtime import Cluster
 from repro.sim.supplychain import SupplyChainParams, simulate
 from repro.sim.warehouse import WarehouseParams
 
@@ -41,9 +41,9 @@ def run_sweep():
         result = chain(rr)
         cells = [rr]
         for strategy in ("none", "collapsed"):
-            deployment = DistributedDeployment(result, config, strategy=strategy)
-            deployment.run()
-            cells.append(pct(deployment.containment_error()))
+            cluster = Cluster(result.traces, config, strategy=strategy)
+            cluster.run(result.params.horizon)
+            cells.append(pct(cluster.containment_error(result.truth)))
         central = CentralizedDeployment(result, config)
         central.run()
         cells.append(pct(central.containment_error()))

@@ -9,7 +9,7 @@ from _common import emit_table, pct
 
 from repro.core.service import ServiceConfig
 from repro.distributed.centralized import CentralizedDeployment
-from repro.distributed.coordinator import DistributedDeployment
+from repro.runtime import Cluster
 from repro.sim.supplychain import SupplyChainParams, simulate
 from repro.sim.warehouse import WarehouseParams
 
@@ -42,9 +42,9 @@ def run_sweep():
         )
         cells = [interval]
         for strategy in ("none", "collapsed"):
-            deployment = DistributedDeployment(result, config, strategy=strategy)
-            deployment.run()
-            cells.append(pct(deployment.containment_error()))
+            cluster = Cluster(result.traces, config, strategy=strategy)
+            cluster.run(result.params.horizon)
+            cells.append(pct(cluster.containment_error(result.truth)))
         central = CentralizedDeployment(result, config)
         central.run()
         cells.append(pct(central.containment_error()))

@@ -33,7 +33,6 @@ from _common import emit_table
 
 from repro.core.service import ServiceConfig
 from repro.distributed.centralized import CentralizedDeployment
-from repro.distributed.coordinator import DistributedDeployment
 from repro.distributed.network import FAULT_OVERHEAD_KINDS
 from repro.queries.tracking import PathDeviationQuery
 from repro.runtime import Cluster, FaultPlan, FaultyTransport, ProcessTransport
@@ -89,17 +88,17 @@ def run_sweep():
         result = make_chain(rr)
         central = CentralizedDeployment(result, config)
         central.run(HORIZON)
-        none_dep = DistributedDeployment(result, config, strategy="none")
-        none_dep.run(HORIZON)
-        cr_dep = DistributedDeployment(result, config, strategy="collapsed")
-        cr_dep.run(HORIZON)
+        none_cluster = Cluster(result.traces, config, strategy="none")
+        none_cluster.run(HORIZON)
+        cr_cluster = Cluster(result.traces, config, strategy="collapsed")
+        cr_cluster.run(HORIZON)
         rows.append(
             [
                 rr,
                 f"{central.communication_bytes():,}",
-                f"{none_dep.communication_bytes():,}",
-                f"{cr_dep.communication_bytes():,}",
-                f"{central.communication_bytes() / max(cr_dep.communication_bytes(), 1):.1f}x",
+                f"{none_cluster.communication_bytes():,}",
+                f"{cr_cluster.communication_bytes():,}",
+                f"{central.communication_bytes() / max(cr_cluster.communication_bytes(), 1):.1f}x",
             ]
         )
         per_tag_cluster, per_tag_bytes = run_federated(result, query_config, batch=False)

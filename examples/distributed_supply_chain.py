@@ -9,7 +9,7 @@ them via the Object Naming Service. The example compares:
 * ``collapsed``  — the paper's CR/collapsed-state migration,
 * ``centralized``— every raw reading shipped (gzip) to one server.
 
-The deployment runs on the event-driven :mod:`repro.runtime`: sites are
+Each strategy runs as a :class:`~repro.runtime.Cluster`: sites are
 message-reactive nodes, and migrations travel as one centroid-compressed
 bundle per (src, dst) pair per interval. The per-link transport ledger
 printed at the end is the site-to-site traffic breakdown.
@@ -19,7 +19,7 @@ Run:  python examples/distributed_supply_chain.py
 
 from repro.core.service import ServiceConfig
 from repro.distributed.centralized import CentralizedDeployment
-from repro.distributed.coordinator import DistributedDeployment
+from repro.runtime import Cluster
 from repro.sim.supplychain import SupplyChainParams, simulate
 from repro.sim.warehouse import WarehouseParams
 
@@ -41,20 +41,16 @@ def main() -> None:
     config = ServiceConfig(run_interval=300, recent_history=600,
                            truncation="cr", emit_events=False)
 
-    deployments = {}
+    clusters = {}
     for strategy in ("none", "collapsed"):
-        deployment = deployments[strategy] = DistributedDeployment(
-            result, config, strategy=strategy
-        )
-        deployment.run()
+        cluster = clusters[strategy] = Cluster(result.traces, config, strategy=strategy)
+        cluster.run(result.params.horizon)
         print(f"\nstrategy={strategy!r}:")
-        print(f"  containment error : {deployment.containment_error():.2%}")
-        print(f"  bytes on the wire : {deployment.communication_bytes():,}")
-        print(f"  migrations        : {len(deployment.migrations)}")
-        if deployment.migrations:
-            avg = sum(m.bytes_sent for m in deployment.migrations) / len(
-                deployment.migrations
-            )
+        print(f"  containment error : {cluster.containment_error(result.truth):.2%}")
+        print(f"  bytes on the wire : {cluster.communication_bytes():,}")
+        print(f"  migrations        : {len(cluster.migrations)}")
+        if cluster.migrations:
+            avg = sum(m.bytes_sent for m in cluster.migrations) / len(cluster.migrations)
             print(f"  avg state size    : {avg:.1f} B/object")
 
     central = CentralizedDeployment(result, config)
@@ -65,7 +61,7 @@ def main() -> None:
 
     # Per-link breakdown of the CR deployment (site -2 is the ONS).
     print("\nper-link traffic (collapsed strategy):")
-    for src, dst, msgs, nbytes in deployments["collapsed"].network.per_link_rows():
+    for src, dst, msgs, nbytes in clusters["collapsed"].network.per_link_rows():
         print(f"  {src:>2} -> {dst:>2}: {msgs:>4} msgs, {nbytes:>7,} B")
 
 

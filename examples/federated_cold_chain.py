@@ -19,8 +19,8 @@ collapsed inference state (§4.1) *and* every compiled plan's per-object
 automaton state (Appendix B) through the uniform QueryState protocol —
 so an exposure run that started at site 0 can still fire at site 1.
 
-Sites run concurrently on worker threads (``ThreadedTransport``); the
-result is bit-identical to the deterministic in-process transport.
+Sites run concurrently on two OS worker processes (``ProcessTransport``);
+the result is bit-identical to the deterministic in-process transport.
 
 Run:  python examples/federated_cold_chain.py
 """
@@ -28,7 +28,7 @@ Run:  python examples/federated_cold_chain.py
 from repro.core.service import ServiceConfig
 from repro.queries.q1 import FreezerExposureQuery
 from repro.queries.q2 import TemperatureExposureQuery
-from repro.runtime import Cluster, ThreadedTransport
+from repro.runtime import Cluster, ProcessTransport
 from repro.workloads.monitors import ColocationBreachQuery, DwellTimeQuery
 from repro.workloads.scenarios import cold_chain_scenario
 
@@ -54,7 +54,7 @@ def main() -> None:
         emit_events=True,
         event_period=5,
     )
-    with ThreadedTransport() as transport:
+    with ProcessTransport(n_workers=2) as transport:
         cluster = Cluster(scenario.traces, config, transport=transport)
         # Four declarative queries per site, compiled into one shared
         # engine. Q1/Q2 share their entire local sub-plan.

@@ -2,7 +2,9 @@
 
 Each site runs inference and query processing on its local streams;
 when an object moves between sites its inference state (collapsed
-co-location weights) and query state (pattern automaton state) migrate:
+co-location weights) and query state (pattern automaton state) migrate.
+The multi-site orchestrator itself is :class:`repro.runtime.Cluster`;
+this package holds the pieces it is built from, plus the baseline:
 
 * :mod:`repro.distributed.network` — the cost ledger with per-kind and
   per-link byte accounting (Table 5's communication costs);
@@ -11,51 +13,21 @@ co-location weights) and query state (pattern automaton state) migrate:
 * :mod:`repro.distributed.tagmem` — writable tag memory (migration
   strategy iii);
 * :mod:`repro.distributed.sharing` — centroid-based query-state sharing;
-* :mod:`repro.distributed.coordinator` — the multi-site deployment
-  facade (``none`` / ``collapsed`` migration strategies) over the
-  event-driven :mod:`repro.runtime`;
 * :mod:`repro.distributed.centralized` — the centralized baseline that
   ships gzip-compressed raw readings to one processing site.
-
-Attributes resolve lazily (PEP 562): the runtime imports this package's
-submodules while the coordinator facade imports the runtime, and lazy
-resolution keeps that dependency loop unwound.
 """
 
-from typing import Any
+from repro.distributed.centralized import CentralizedDeployment
+from repro.distributed.network import Network
+from repro.distributed.ons import ObjectNamingService
+from repro.distributed.sharing import SharedStateBundle, centroid_compress
+from repro.distributed.tagmem import TagMemory
 
 __all__ = [
     "CentralizedDeployment",
-    "DistributedDeployment",
     "Network",
     "ObjectNamingService",
     "SharedStateBundle",
     "TagMemory",
     "centroid_compress",
 ]
-
-_EXPORTS = {
-    "CentralizedDeployment": ("repro.distributed.centralized", "CentralizedDeployment"),
-    "DistributedDeployment": ("repro.distributed.coordinator", "DistributedDeployment"),
-    "Network": ("repro.distributed.network", "Network"),
-    "ObjectNamingService": ("repro.distributed.ons", "ObjectNamingService"),
-    "SharedStateBundle": ("repro.distributed.sharing", "SharedStateBundle"),
-    "TagMemory": ("repro.distributed.tagmem", "TagMemory"),
-    "centroid_compress": ("repro.distributed.sharing", "centroid_compress"),
-}
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name, attr = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

@@ -78,8 +78,12 @@ class BatchSpool:
     # -- the durable sequence counter ---------------------------------------
 
     def set_next_seq(self, next_seq: int) -> None:
-        with open(os.path.join(self.root, "meta"), "wb") as fh:
+        # Write-then-rename: a crash mid-write must leave the previous
+        # counter intact, never a torn file that resets it to 1.
+        path = os.path.join(self.root, "meta")
+        with open(path + ".tmp", "wb") as fh:
             fh.write(_frame(struct.pack("<q", next_seq)))
+        os.replace(path + ".tmp", path)
 
     def next_seq(self) -> int:
         """The persisted counter, or 1 on a fresh (or corrupt) spool."""

@@ -113,10 +113,10 @@ class Histogram:
 class MetricsRegistry:
     """Labeled metric series with canonical, deterministic encoding.
 
-    Thread-safe for series *creation* (the threaded transport touches
-    the registry from worker threads); per-series mutation is a single
-    ``+=`` on a python object, which is safe under the GIL for our
-    single-writer-per-series usage.
+    Thread-safe for series *creation* (concurrent client sessions on one
+    serving frontend touch the registry from their own threads);
+    per-series mutation is a single ``+=`` on a python object, which is
+    safe under the GIL for our single-writer-per-series usage.
     """
 
     def __init__(self) -> None:

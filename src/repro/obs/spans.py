@@ -8,9 +8,10 @@ numbers, request ids, window boundaries). Nothing is added to the wire
 format: correlation keys ride as span attributes only, so envelope
 bytes and the Table 5 ledger kinds are untouched by tracing.
 
-Parentage within a process is tracked on a thread-local stack (the
-threaded transport runs one site per thread), so nested ``span()``
-blocks produce a causal tree without any explicit context plumbing.
+Parentage within a process is tracked on a thread-local stack (client
+threads may drive concurrent serving sessions against one frontend),
+so nested ``span()`` blocks produce a causal tree without any explicit
+context plumbing.
 """
 
 from __future__ import annotations

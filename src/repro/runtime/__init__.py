@@ -8,8 +8,8 @@ a :class:`~repro.runtime.cluster.Cluster`:
 * :mod:`repro.runtime.envelope` — the message protocol: ONS traffic,
   migrate requests, batched (centroid-compressed) inference- and
   query-state bundles;
-* :mod:`repro.runtime.transport` — deterministic in-process delivery or
-  per-site worker threads with per-link inboxes;
+* :mod:`repro.runtime.transport` — the transport interface and
+  deterministic in-process delivery;
 * :mod:`repro.runtime.process` — process-parallel shared-nothing
   execution: logical sites sharded across forked OS workers, with
   shared-memory handoff for bulk payloads and a ledger-driven shard
@@ -32,9 +32,6 @@ at every boundary and answers ``history-request`` envelopes from the
 serving layer (:mod:`repro.serving`) against it — attach a
 :class:`~repro.serving.frontend.QueryFrontend` with
 :meth:`Cluster.attach_frontend` for federated time-travel queries.
-
-The legacy :class:`repro.distributed.coordinator.DistributedDeployment`
-is now a thin facade over this runtime.
 """
 
 from repro.runtime.cluster import Cluster, ClusterSnapshot
@@ -43,7 +40,7 @@ from repro.runtime.faults import FaultPlan, FaultyTransport, LinkFaults
 from repro.runtime.node import SiteNode
 from repro.runtime.process import ProcessTransport, WorkerDied
 from repro.runtime.router import QueryRouter
-from repro.runtime.transport import InProcessTransport, ThreadedTransport, Transport
+from repro.runtime.transport import InProcessTransport, Transport
 
 __all__ = [
     "Cluster",
@@ -58,6 +55,5 @@ __all__ = [
     "WorkerDied",
     "QueryRouter",
     "SiteNode",
-    "ThreadedTransport",
     "Transport",
 ]

@@ -9,11 +9,12 @@ an explicit event-driven schedule per inference interval:
    is sent. The previous sites respond with **batched**
    ``inference-state``/``query-state`` bundles (centroid-compressed,
    §4.2) which the arrival site absorbs — all via transport messages.
-   A flush between sites keeps multi-hop chains ordered, so threaded
+   A flush between sites keeps multi-hop chains ordered, so sharded
    and in-process runs are bit-identical.
 2. **Tick** — every node's inference run for the boundary is dispatched
-   onto its site's execution context (concurrently under
-   :class:`~repro.runtime.transport.ThreadedTransport`) and barriered.
+   onto its site's execution context (concurrently across OS workers
+   under :class:`~repro.runtime.process.ProcessTransport`) and
+   barriered.
    The run that covers an object's arrival readings therefore already
    holds its migrated priors (§4.1). Local query processing (new object
    events × sensor readings) happens inside the tick, on the node's own
@@ -244,9 +245,8 @@ class Cluster:
                     )
                     self._route_arrivals(node, fresh, boundary)
                     self._sync()
-            # Then tick every site — concurrently under a threaded or
-            # process transport; the runs are independent given routed
-            # state.
+            # Then tick every site — concurrently under a process
+            # transport; the runs are independent given routed state.
             with tel.span("federation", "tick", boundary=boundary):
                 for node in self.nodes:
                     if self._hosted:

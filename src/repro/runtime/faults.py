@@ -78,7 +78,7 @@ class FaultPlan:
     feeds one independent RNG stream per link, so the fault schedule of
     a link depends only on the seed and that link's own traffic order —
     deterministic even when the wrapped transport runs sites on worker
-    threads (per-link send order is fixed by the cluster's phases).
+    processes (per-link send order is fixed by the cluster's phases).
     """
 
     seed: int = 0

@@ -9,8 +9,9 @@ makes it absorb state. The only locally-driven entry points are
 cluster onto this site's execution context) and :meth:`poll_arrivals`
 (reading the site's own antennas).
 
-Under :class:`~repro.runtime.transport.ThreadedTransport` every handler
-and tick runs on this node's own worker thread, so node state is
+Every handler and tick runs in this node's own execution domain (the
+caller's thread, or the OS worker hosting the site under
+:class:`~repro.runtime.process.ProcessTransport`), so node state is
 single-writer without locks.
 
 **At-least-once delivery.** Every data envelope a node sends carries a

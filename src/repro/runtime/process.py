@@ -1,8 +1,8 @@
 """Process-parallel shared-nothing federation: the :class:`ProcessTransport`.
 
-The GIL caps :class:`~repro.runtime.transport.ThreadedTransport` at one
-core no matter how many sites the federation has. This transport runs
-the inference hot path on real OS processes instead: N **workers**
+The GIL caps any thread-based executor at one core no matter how many
+sites the federation has. This transport runs the inference hot path
+on real OS processes instead: N **workers**
 (forked ``multiprocessing`` processes) each host a shard of the logical
 sites, and the parent process stays the single deterministic router,
 ledger owner, and fault-injection point.

@@ -7,17 +7,15 @@ delivered byte is accounted through a shared
 per-link), so Table 5's communication-cost breakdown is independent of
 which transport runs the cluster.
 
-* :class:`InProcessTransport` — synchronous, single-threaded delivery.
-  Deterministic by construction; preserves the semantics (and byte
-  accounting) of the original lockstep deployment.
-* :class:`ThreadedTransport` — one worker thread per site with per-link
-  FIFO inboxes, so independent sites advance concurrently. Handlers run
-  only on their own site's worker (actor discipline), which keeps state
-  mutation single-writer; combined with the cluster's barrier phases
-  this makes the threaded run bit-identical to the in-process one.
+* :class:`InProcessTransport` — synchronous delivery on the caller's
+  thread. Deterministic by construction; preserves the semantics (and
+  byte accounting) of the original lockstep deployment.
+* :class:`~repro.runtime.process.ProcessTransport` — sites sharded
+  across forked OS workers (``hosts_sites = True``), driven through
+  named site operations; bit-identical to the in-process run.
 
-Both of the above are *reliable* (every accepted send is delivered
-exactly once, in per-link order). :class:`~repro.runtime.faults.FaultyTransport`
+Both are *reliable* (every accepted send is delivered exactly once, in
+per-link order). :class:`~repro.runtime.faults.FaultyTransport`
 wraps either one and injects seeded drop/duplicate/delay/reorder faults
 per link; it advertises ``reliable = False``, which switches the
 :class:`~repro.runtime.node.SiteNode` at-least-once layer on.
@@ -25,15 +23,13 @@ per link; it advertises ``reliable = False``, which switches the
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
-from collections import deque
 from typing import Callable, Mapping
 
 from repro.distributed.network import Network
 from repro.runtime.envelope import Envelope
 
-__all__ = ["Transport", "InProcessTransport", "ThreadedTransport"]
+__all__ = ["Transport", "InProcessTransport"]
 
 Handler = Callable[[Envelope], None]
 
@@ -111,7 +107,7 @@ class Transport(ABC):
         any follow-up messages they triggered — have been processed."""
 
     def close(self) -> None:  # pragma: no cover - trivial default
-        """Release transport resources (worker threads, queues)."""
+        """Release transport resources (worker processes, pipes)."""
 
     def __enter__(self) -> "Transport":
         return self
@@ -146,196 +142,3 @@ class InProcessTransport(Transport):
 
     def flush(self) -> None:
         pass  # everything already ran synchronously
-
-
-class _SiteWorker(threading.Thread):
-    """One site's event loop: drains per-link inboxes, then local tasks."""
-
-    def __init__(self, site: int, handler: Handler, transport: "ThreadedTransport") -> None:
-        super().__init__(name=f"site-{site}", daemon=True)
-        self.site = site
-        self.handler = handler
-        self.transport = transport
-        self.cv = threading.Condition()
-        #: per-link FIFO inboxes, keyed by source site.
-        self.inboxes: dict[int, deque[Envelope]] = {}
-        self.tasks: deque[Callable[[], None]] = deque()
-        self.stopped = False
-
-    def post_envelope(self, env: Envelope) -> None:
-        with self.cv:
-            self.inboxes.setdefault(env.src, deque()).append(env)
-            self.cv.notify()
-
-    def post_task(self, fn: Callable[[], None]) -> None:
-        with self.cv:
-            self.tasks.append(fn)
-            self.cv.notify()
-
-    def stop(self) -> None:
-        with self.cv:
-            self.stopped = True
-            self.cv.notify()
-
-    def _take(self) -> tuple[str, object] | None:
-        """Next work item: envelopes (links in source order) before tasks."""
-        for src in sorted(self.inboxes):
-            queue = self.inboxes[src]
-            if queue:
-                return ("envelope", queue.popleft())
-        if self.tasks:
-            return ("task", self.tasks.popleft())
-        return None
-
-    def run(self) -> None:
-        try:
-            self._loop()
-        except BaseException as exc:  # noqa: BLE001 - loop machinery failed
-            # The worker is dead: queued work for this site will never
-            # retire, so poison the barrier instead of hanging it.
-            self.transport._worker_died(self.site, exc)
-
-    def _loop(self) -> None:
-        while True:
-            with self.cv:
-                item = self._take()
-                while item is None:
-                    if self.stopped:
-                        return
-                    self.cv.wait()
-                    item = self._take()
-            kind, work = item
-            try:
-                if kind == "envelope":
-                    self.handler(work)  # type: ignore[arg-type]
-                else:
-                    work()  # type: ignore[operator]
-            except BaseException as exc:  # noqa: BLE001 - surfaced at flush()
-                self.transport._record_error(exc)
-            finally:
-                self.transport._work_done()
-
-
-class ThreadedTransport(Transport):
-    """Per-site worker threads with per-link inboxes.
-
-    Delivery and dispatch are asynchronous; :meth:`flush` is the barrier
-    that waits for global quiescence. An outstanding-work counter makes
-    the barrier exact: a handler's follow-up sends are counted before
-    the handler itself retires, so ``flush`` cannot return while a
-    message chain is still in flight.
-
-    The barrier is exception-safe: a handler (or dispatched task) that
-    raises on its worker thread wakes :meth:`flush` *immediately* and
-    the error is re-raised to the caller — even while other queued work
-    is still in flight or blocked, where waiting for full quiescence
-    could hang forever. A worker whose event loop itself dies poisons
-    the barrier permanently for the same reason.
-    """
-
-    def __init__(self, ledger: Network | None = None) -> None:
-        super().__init__(ledger)
-        self._workers: dict[int, _SiteWorker] = {}
-        self._quiet = threading.Condition()
-        self._outstanding = 0
-        self._errors: list[BaseException] = []
-        self._dead: dict[int, BaseException] = {}
-        self._ledger_lock = threading.Lock()
-        self._closed = False
-
-    # -- work accounting ---------------------------------------------------
-
-    def _work_added(self) -> None:
-        with self._quiet:
-            self._outstanding += 1
-
-    def _work_done(self) -> None:
-        with self._quiet:
-            self._outstanding -= 1
-            if self._outstanding <= 0:
-                self._quiet.notify_all()
-
-    def _record_error(self, exc: BaseException) -> None:
-        with self._quiet:
-            self._errors.append(exc)
-            # Fail fast: the barrier must not keep waiting on work that
-            # the failure may have stranded.
-            self._quiet.notify_all()
-
-    def _worker_died(self, site: int, exc: BaseException) -> None:
-        with self._quiet:
-            self._dead[site] = exc
-            self._quiet.notify_all()
-
-    # -- Transport interface ----------------------------------------------
-
-    def register(self, site: int, handler: Handler) -> None:
-        if self._closed:
-            raise RuntimeError("transport is closed")
-        if site in self._workers:
-            raise ValueError(f"site {site} already registered")
-        worker = _SiteWorker(site, handler, self)
-        self._workers[site] = worker
-        worker.start()
-
-    def send(self, env: Envelope) -> None:
-        if self._closed:
-            raise RuntimeError("transport is closed")
-        with self._ledger_lock:
-            self.ledger.send(env.src, env.dst, env.kind, env.payload)
-        self.deliver(env)
-
-    def deliver(self, env: Envelope) -> None:
-        if self._closed:
-            raise RuntimeError("transport is closed")
-        worker = self._workers.get(env.dst)
-        if worker is None:
-            return  # accounted control traffic (e.g. ONS) with no node
-        self._work_added()
-        worker.post_envelope(env)
-
-    def dispatch(self, site: int, fn: Callable[[], None]) -> None:
-        if self._closed:
-            raise RuntimeError("transport is closed")
-        worker = self._workers.get(site)
-        if worker is None:
-            raise KeyError(f"no worker registered for site {site}")
-        self._work_added()
-        worker.post_task(fn)
-
-    def flush(self) -> None:
-        with self._quiet:
-            while self._outstanding > 0 and not self._errors and not self._dead:
-                self._quiet.wait()
-            if self._dead:
-                site, exc = next(iter(self._dead.items()))
-                raise RuntimeError(
-                    f"site {site}'s worker loop died; transport is poisoned"
-                ) from exc
-            if self._errors:
-                errors, self._errors = self._errors, []
-                raise RuntimeError(
-                    f"{len(errors)} site worker(s) failed"
-                ) from errors[0]
-
-    #: how long :meth:`close` waits for each worker to stop. A class
-    #: attribute so tests exercising the stuck-worker path can shrink it.
-    CLOSE_TIMEOUT = 5.0
-
-    def close(self) -> None:
-        """Stop every worker thread. Idempotent — and *retryable*: a
-        worker that does not stop within :attr:`CLOSE_TIMEOUT` (e.g. a
-        handler still blocked when close is called) stays registered,
-        so a later close() tries again instead of clearing the registry
-        over a live thread and silently leaking it. Workers whose loops
-        already died (or that raised from a handler and kept looping)
-        join normally."""
-        self._closed = True
-        for worker in self._workers.values():
-            worker.stop()
-        remaining: dict[int, _SiteWorker] = {}
-        for site, worker in self._workers.items():
-            worker.join(timeout=self.CLOSE_TIMEOUT)
-            if worker.is_alive():
-                remaining[site] = worker
-        self._workers = remaining

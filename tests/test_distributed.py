@@ -1,5 +1,5 @@
 """Tests for the distributed layer: network, ONS, tag memory, sharing,
-coordination, and the centralized baseline."""
+multi-site `Cluster` runs, and the centralized baseline."""
 
 import hashlib
 import json
@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.service import ServiceConfig
 from repro.distributed.centralized import CentralizedDeployment, merge_sites
-from repro.distributed.coordinator import DistributedDeployment
 from repro.distributed.network import Network
 from repro.distributed.ons import ObjectNamingService
 from repro.distributed.sharing import (
@@ -25,6 +24,7 @@ from repro.distributed.sharing import (
     state_diff,
 )
 from repro.distributed.tagmem import TagMemory, TagMemoryError
+from repro.runtime import Cluster
 from repro.sim.tags import EPC, TagKind
 
 
@@ -314,24 +314,38 @@ def deployments(multi_site_chain):
                            truncation="cr", emit_events=False)
     out = {}
     for strategy in ("none", "collapsed"):
-        dep = DistributedDeployment(multi_site_chain, config, strategy=strategy)
-        dep.run()
-        out[strategy] = dep
+        cluster = Cluster(multi_site_chain.traces, config, strategy=strategy)
+        cluster.run(multi_site_chain.params.horizon)
+        out[strategy] = cluster
     central = CentralizedDeployment(multi_site_chain, config)
     central.run()
     out["centralized"] = central
     return out
 
 
+def error(deployments, name, chain):
+    if name == "centralized":
+        return deployments[name].containment_error()
+    return deployments[name].containment_error(chain.truth)
+
+
 class TestDistributed:
     def test_none_ships_zero_bytes(self, deployments):
         assert deployments["none"].communication_bytes() == 0
 
-    def test_collapsed_beats_none_on_accuracy(self, deployments):
+    def test_collapsed_beats_none_on_accuracy(self, deployments, multi_site_chain):
         assert (
-            deployments["collapsed"].containment_error()
-            <= deployments["none"].containment_error() + 1e-9
+            error(deployments, "collapsed", multi_site_chain)
+            <= error(deployments, "none", multi_site_chain) + 1e-9
         )
+
+    def test_cluster_surface(self, deployments, multi_site_chain):
+        cluster = deployments["collapsed"]
+        assert len(cluster.services) == len(multi_site_chain.traces) == 3
+        assert cluster.migrations
+        assert cluster.snapshots
+        assert cluster.communication_bytes() > 0
+        assert 0.0 <= error(deployments, "collapsed", multi_site_chain) <= 1.0
 
     def test_collapsed_far_cheaper_than_centralized(self, deployments):
         collapsed = deployments["collapsed"].communication_bytes()
@@ -345,9 +359,9 @@ class TestDistributed:
             assert event.src != event.dst
             assert event.bytes_sent > 0
 
-    def test_centralized_accuracy_best_or_close(self, deployments):
-        assert deployments["centralized"].containment_error() <= (
-            deployments["none"].containment_error() + 0.05
+    def test_centralized_accuracy_best_or_close(self, deployments, multi_site_chain):
+        assert error(deployments, "centralized", multi_site_chain) <= (
+            error(deployments, "none", multi_site_chain) + 0.05
         )
 
 

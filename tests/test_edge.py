@@ -235,6 +235,44 @@ class TestEdgeNode:
         assert gateway.total_readings == 3
         gateway.close()
 
+    def test_crash_while_persisting_seq_never_reuses_acked_seqs(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: the sequence counter used to be rewritten in
+        place, so a crash mid-write left a torn ``meta``. With every
+        earlier batch acked (so no spool file to fall back on) the
+        restarted edge restarted at seq 1, and the gateway acked its
+        fresh batches as duplicates — their readings were lost."""
+        import repro.edge.spool as spool_module
+
+        transport = InProcessTransport(Network())
+        gateway = IngestGateway(1, 100, str(tmp_path / "gw"))
+        gateway.bind(transport)
+        gateway.expect_edge(0)
+        edge = EdgeNode(0, 0, 3, str(tmp_path / "edge"), max_batch=1)
+        edge.bind(transport)
+        edge.ingest_line("RD,5,C-000001,3")
+        edge.ingest_line("RD,6,C-000002,3")
+        edge.pump()
+        assert edge.drained and edge.spool.pending() == []
+        duplicates = gateway.stats.duplicate_batches
+
+        def crash(payload):
+            raise OSError("power lost while writing the counter")
+
+        monkeypatch.setattr(spool_module, "_frame", crash)
+        edge.ingest_line("RD,7,C-000003,3")
+        with pytest.raises(OSError):
+            edge.pump()
+        monkeypatch.undo()
+        edge.crash()
+        edge.ingest_line("RD,8,C-000004,3")
+        edge.pump()
+        assert edge.drained
+        assert gateway.stats.duplicate_batches == duplicates
+        assert gateway.total_readings == 3
+        gateway.close()
+
     def test_resident_bound_spills_payloads_back_to_disk(self, tmp_path):
         edge = EdgeNode(0, 0, 3, str(tmp_path), max_batch=1, max_resident_batches=2)
         edge.bind(_BlackHole())

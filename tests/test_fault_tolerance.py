@@ -30,7 +30,6 @@ from repro.runtime import (
     LinkFaults,
     ProcessTransport,
     SiteNode,
-    ThreadedTransport,
 )
 from repro.runtime.envelope import (
     INFERENCE_STATE,
@@ -155,19 +154,14 @@ class TestChaosInvariant:
 
 class TestCrossTransportEquivalence:
     """Satellite: identical trajectories and per-kind ledger totals
-    across in-process, threaded, and faulty transports (modulo the
+    across in-process, process, and faulty transports (modulo the
     retransmit/ack overhead kinds)."""
 
     @pytest.mark.parametrize(
         "make_transport",
         [
             pytest.param(lambda: None, id="inprocess"),
-            pytest.param(ThreadedTransport, id="threaded"),
             pytest.param(lambda: chaos_transport(31), id="faulty-31"),
-            pytest.param(
-                lambda: FaultyTransport(chaos_plan(31), inner=ThreadedTransport()),
-                id="faulty-over-threaded",
-            ),
             pytest.param(lambda: ProcessTransport(n_workers=2), id="process"),
             pytest.param(
                 lambda: FaultyTransport(

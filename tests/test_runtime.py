@@ -4,7 +4,6 @@ nodes, federated query routing, and the cluster orchestrator."""
 import pytest
 
 from repro.core.service import ServiceConfig
-from repro.distributed.coordinator import DistributedDeployment
 from repro.distributed.network import Network
 from repro.obs import telemetry_session
 from repro.obs.summary import main as summary_main
@@ -15,7 +14,6 @@ from repro.runtime import (
     Envelope,
     InProcessTransport,
     ProcessTransport,
-    ThreadedTransport,
 )
 from repro.runtime.envelope import (
     INFERENCE_STATE,
@@ -96,132 +94,6 @@ class TestInProcessTransport:
         transport = InProcessTransport(ledger=ledger)
         transport.send(Envelope(0, 1, "x", b"abc"))
         assert ledger.total_bytes() == 3
-
-
-class TestThreadedTransport:
-    def test_delivers_across_threads(self):
-        with ThreadedTransport() as transport:
-            received = []
-            transport.register(1, received.append)
-            for i in range(20):
-                transport.send(Envelope(0, 1, "x", bytes([i])))
-            transport.flush()
-            assert [env.payload[0] for env in received] == list(range(20))
-
-    def test_flush_waits_for_relay_chains(self):
-        with ThreadedTransport() as transport:
-            sink = []
-
-            def relay(env):
-                transport.send(Envelope(1, 2, "hop", env.payload + b"!"))
-
-            transport.register(1, relay)
-            transport.register(2, sink.append)
-            transport.send(Envelope(0, 1, "hop", b"a"))
-            transport.flush()
-            assert sink and sink[0].payload == b"a!"
-            assert transport.ledger.messages_by_kind["hop"] == 2
-
-    def test_handler_errors_surface_at_flush(self):
-        with ThreadedTransport() as transport:
-            def boom(env):
-                raise RuntimeError("kaboom")
-
-            transport.register(1, boom)
-            transport.send(Envelope(0, 1, "x", b""))
-            with pytest.raises(RuntimeError):
-                transport.flush()
-
-    def test_flush_raises_instead_of_hanging_on_failed_handler(self):
-        """Regression: a handler that raises on a worker thread must
-        propagate at flush() even while *other* queued work is still in
-        flight — the old barrier waited for full quiescence first, so a
-        failure alongside a stuck handler hung it forever."""
-        import threading
-
-        release = threading.Event()
-        with ThreadedTransport() as transport:
-            transport.register(1, lambda env: release.wait(timeout=30))
-            def boom(env):
-                raise RuntimeError("kaboom")
-
-            transport.register(2, boom)
-            transport.send(Envelope(0, 1, "x", b""))  # occupies site 1's worker
-            transport.send(Envelope(0, 2, "x", b""))  # fails on site 2's worker
-            outcome: dict[str, BaseException] = {}
-
-            def call_flush():
-                try:
-                    transport.flush()
-                except RuntimeError as exc:
-                    outcome["error"] = exc
-
-            flusher = threading.Thread(target=call_flush)
-            flusher.start()
-            flusher.join(timeout=5.0)
-            hung = flusher.is_alive()
-            release.set()  # unblock site 1 before closing either way
-            assert not hung, "flush() hung on a failed handler"
-            assert "error" in outcome
-            assert "kaboom" in repr(outcome["error"].__cause__)
-
-    def test_dispatch_runs_on_worker(self):
-        import threading
-
-        with ThreadedTransport() as transport:
-            transport.register(3, lambda env: None)
-            seen = []
-            transport.dispatch(3, lambda: seen.append(threading.current_thread().name))
-            transport.flush()
-            assert seen == ["site-3"]
-
-    def test_close_is_idempotent(self):
-        transport = ThreadedTransport()
-        transport.register(0, lambda env: None)
-        transport.close()
-        transport.close()
-        with pytest.raises(RuntimeError):
-            transport.send(Envelope(0, 0, "x", b""))
-
-    def test_close_after_handler_error(self):
-        """Regression: close() after a worker's handler raised must join
-        the (still looping) worker and stay idempotent — it used to rely
-        on callers never retrying."""
-        transport = ThreadedTransport()
-
-        def boom(env):
-            raise RuntimeError("kaboom")
-
-        transport.register(1, boom)
-        transport.send(Envelope(0, 1, "x", b""))
-        with pytest.raises(RuntimeError):
-            transport.flush()
-        transport.close()
-        assert transport._workers == {}
-        transport.close()  # second close is a no-op, not an error
-        assert transport._workers == {}
-
-    def test_close_retries_stuck_worker(self):
-        """Regression: a worker that outlives the close timeout must stay
-        registered so a later close() can actually reap it — the old
-        close cleared the registry over the live thread (leaking it) and
-        then early-returned on every retry."""
-        import threading
-
-        release = threading.Event()
-        transport = ThreadedTransport()
-        transport.CLOSE_TIMEOUT = 0.05
-        transport.register(1, lambda env: release.wait(timeout=30))
-        transport.register(2, lambda env: None)
-        transport.send(Envelope(0, 1, "x", b""))
-        transport.close()
-        # Site 2's idle worker joined; site 1's blocked worker did not.
-        assert list(transport._workers) == [1]
-        assert transport._workers[1].is_alive()
-        release.set()
-        transport.CLOSE_TIMEOUT = 5.0
-        transport.close()
-        assert transport._workers == {}
 
 
 def hosted_process_transport(n_sites=4, n_workers=2, **kwargs):
@@ -390,6 +262,17 @@ class TestProcessTransport:
         with pytest.raises(RuntimeError, match="closed"):
             transport.send(Envelope(0, 1, "x", b""))
 
+    def test_dispatch_runs_closures_only_before_fork(self):
+        with hosted_process_transport() as transport:
+            seen = []
+            transport.dispatch(0, lambda: seen.append("pre-fork"))
+            assert seen == ["pre-fork"]
+            transport.site_cast(0, "echo")
+            with pytest.raises(RuntimeError, match="named ops"):
+                transport.dispatch(0, lambda: seen.append("post-fork"))
+            transport.dispatch(-1, lambda: seen.append("parent"))  # not hosted
+            assert seen == ["pre-fork", "parent"]
+
     def test_registration_closed_after_fork_for_hosting_only(self):
         with hosted_process_transport() as transport:
             transport.site_cast(0, "echo")
@@ -400,6 +283,84 @@ class TestProcessTransport:
                 transport.host_site(-3, {"attach": lambda shim: None})
 
 
+def envelope_process_transport(relay_to=None, failing=()):
+    """A ProcessTransport whose two hosted sites (0 and 1, one per
+    worker) record every envelope they receive, readable back through
+    the ``received`` op. Site ``s`` in ``failing`` raises on delivery;
+    with ``relay_to`` set, site 0 forwards each envelope there with a
+    ``!`` appended, through the worker's outbox."""
+    transport = ProcessTransport(n_workers=2)
+    for site in range(2):
+        received: list[bytes] = []
+        shim_box: list = []
+
+        def handler(env, site=site, received=received, shim_box=shim_box):
+            if site in failing:
+                raise RuntimeError("kaboom")
+            received.append(env.payload)
+            if site == 0 and relay_to is not None:
+                shim_box[0].send(Envelope(0, relay_to, "hop", env.payload + b"!"))
+
+        transport.register(site, handler)
+        transport.host_site(
+            site,
+            {
+                "attach": shim_box.append,
+                "received": (lambda r: lambda: list(r))(received),
+            },
+        )
+    transport.site_cast(0, "received")  # fork the workers
+    transport.flush()
+    return transport
+
+
+class TestProcessTransportEnvelopes:
+    """Envelopes addressed to worker-hosted sites run their handlers
+    inside the workers; the parent's flush is the barrier."""
+
+    def test_delivers_in_order_to_hosted_sites(self):
+        with envelope_process_transport() as transport:
+            for i in range(20):
+                transport.send(Envelope(-1, i % 2, "x", bytes([i])))
+            transport.flush()
+            assert transport.site_call(0, "received") == [
+                bytes([i]) for i in range(0, 20, 2)
+            ]
+            assert transport.site_call(1, "received") == [
+                bytes([i]) for i in range(1, 20, 2)
+            ]
+            assert transport.ledger.messages_by_kind["x"] == 20
+
+    def test_flush_waits_for_relay_chains(self):
+        """A hop emitted by a handler on one worker reaches the other
+        worker's site before flush returns, and is accounted once."""
+        with envelope_process_transport(relay_to=1) as transport:
+            transport.send(Envelope(-1, 0, "hop", b"a"))
+            transport.flush()
+            assert transport.site_call(1, "received") == [b"a!"]
+            assert transport.ledger.messages_by_kind["hop"] == 2
+
+    def test_handler_errors_surface_at_flush(self):
+        with envelope_process_transport(failing=(1,)) as transport:
+            transport.send(Envelope(-1, 1, "x", b""))
+            with pytest.raises(RuntimeError, match="kaboom"):
+                transport.flush()
+
+    def test_close_after_handler_error(self):
+        """close() after a worker's handler raised still reaps every
+        worker, and a second close is a no-op."""
+        transport = envelope_process_transport(failing=(1,))
+        processes = [handle.process for handle in transport._workers]
+        transport.send(Envelope(-1, 1, "x", b""))
+        with pytest.raises(RuntimeError, match="kaboom"):
+            transport.flush()
+        transport.close()
+        assert transport._workers == []
+        assert not any(process.is_alive() for process in processes)
+        transport.close()
+        assert transport._workers == []
+
+
 @pytest.fixture(scope="module")
 def chain_config():
     return ServiceConfig(
@@ -408,30 +369,6 @@ def chain_config():
 
 
 class TestClusterDeterminism:
-    def test_threaded_matches_inprocess(self, multi_site_chain, chain_config):
-        """Acceptance: both transports produce identical results."""
-        inproc = Cluster(multi_site_chain.traces, chain_config)
-        inproc.run(multi_site_chain.params.horizon)
-        with ThreadedTransport() as transport:
-            threaded = Cluster(
-                multi_site_chain.traces, chain_config, transport=transport
-            )
-            threaded.run(multi_site_chain.params.horizon)
-            assert threaded.containment_error(
-                multi_site_chain.truth
-            ) == inproc.containment_error(multi_site_chain.truth)
-            assert dict(threaded.network.bytes_by_kind) == dict(
-                inproc.network.bytes_by_kind
-            )
-            assert dict(threaded.network.bytes_by_link) == dict(
-                inproc.network.bytes_by_link
-            )
-            assert [m.tag for m in threaded.migrations] == [
-                m.tag for m in inproc.migrations
-            ]
-            for a, b in zip(threaded.snapshots, inproc.snapshots):
-                assert a.time == b.time and a.containment == b.containment
-
     def test_process_matches_inprocess(self, multi_site_chain, chain_config):
         """Sharded OS workers preserve every observable result and byte."""
         inproc = Cluster(multi_site_chain.traces, chain_config)
@@ -555,60 +492,34 @@ class TestFederatedQueryRouting:
         out = capsys.readouterr().out
         assert "state bundles per link" in out and "federation/handoff.export" in out
 
-    def test_threaded_federation_matches(self, federated_scenario):
+    def test_process_federation_matches(self, federated_scenario):
         scenario = federated_scenario
         inproc = run_federated(scenario)
-        with ThreadedTransport() as transport:
-            threaded = run_federated(scenario, transport=transport)
+        with ProcessTransport(n_workers=2) as transport:
+            sharded = run_federated(scenario, transport=transport)
             key = lambda c: sorted(
                 (str(a.key), a.start_time, a.end_time)
                 for node in c.nodes
                 for a in node.queries["q2"].alerts
             )
-            assert key(threaded) == key(inproc)
-            assert dict(threaded.network.bytes_by_kind) == dict(
+            assert key(inproc) and key(sharded) == key(inproc)
+            assert dict(sharded.network.bytes_by_kind) == dict(
                 inproc.network.bytes_by_kind
             )
 
 
-class TestFacade:
-    def test_facade_surface(self, deployments_facade):
-        deployment = deployments_facade
-        assert len(deployment.services) == 3
-        assert deployment.migrations
-        assert deployment.snapshots
-        assert deployment.communication_bytes() > 0
-        assert 0.0 <= deployment.containment_error() <= 1.0
-
-    def test_containment_error_guards_time_zero(self, multi_site_chain, chain_config):
+class TestContainmentError:
+    def test_guards_time_zero(self, multi_site_chain, chain_config):
         """Regression: a snapshot at time 0 must not index truth at -1."""
-        deployment = DistributedDeployment(multi_site_chain, chain_config)
+        cluster = Cluster(multi_site_chain.traces, chain_config)
         item = multi_site_chain.truth.items()[0]
-        deployment.cluster.snapshots.append(
-            ClusterSnapshot(0, {item: None}, {item})
-        )
-        error = deployment.containment_error()
+        cluster.snapshots.append(ClusterSnapshot(0, {item: None}, {item}))
+        error = cluster.containment_error(multi_site_chain.truth)
         assert 0.0 <= error <= 1.0
 
-    def test_containment_error_empty_snapshots(self, multi_site_chain, chain_config):
+    def test_empty_snapshots(self, multi_site_chain, chain_config):
         """Regression: the empty-snapshot path returns 0, not NaN/crash."""
-        deployment = DistributedDeployment(multi_site_chain, chain_config)
-        assert deployment.containment_error() == 0.0
-        deployment.cluster.snapshots.append(ClusterSnapshot(300, {}, set()))
-        assert deployment.containment_error() == 0.0
-
-    def test_network_and_transport_both_rejected(self, multi_site_chain, chain_config):
-        with pytest.raises(ValueError):
-            DistributedDeployment(
-                multi_site_chain,
-                chain_config,
-                network=Network(),
-                transport=InProcessTransport(),
-            )
-
-
-@pytest.fixture(scope="module")
-def deployments_facade(multi_site_chain, chain_config):
-    deployment = DistributedDeployment(multi_site_chain, chain_config)
-    deployment.run()
-    return deployment
+        cluster = Cluster(multi_site_chain.traces, chain_config)
+        assert cluster.containment_error(multi_site_chain.truth) == 0.0
+        cluster.snapshots.append(ClusterSnapshot(300, {}, set()))
+        assert cluster.containment_error(multi_site_chain.truth) == 0.0

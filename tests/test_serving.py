@@ -14,7 +14,7 @@ import pytest
 from repro.archive import SiteArchive
 from repro.core.service import ServiceConfig
 from repro.queries.q2 import TemperatureExposureQuery
-from repro.runtime import Cluster, InProcessTransport, ThreadedTransport
+from repro.runtime import Cluster, InProcessTransport, ProcessTransport
 from repro.runtime.envelope import HISTORY_REQUEST, HISTORY_RESPONSE, Envelope
 from repro.serving import (
     ArchivePublisher,
@@ -176,10 +176,12 @@ class TestCache:
         assert len(frontend._cache) <= frontend.cache_capacity
 
 
-class TestThreadedTransportEquivalence:
+class TestProcessTransportEquivalence:
     def test_answers_match_in_process(self, scenario, served):
         _, in_process_frontend = served
-        cluster, frontend = run_served(scenario, transport=ThreadedTransport())
+        cluster, frontend = run_served(
+            scenario, transport=ProcessTransport(n_workers=2)
+        )
         try:
             baseline_session = in_process_frontend.session()
             session = frontend.session()
