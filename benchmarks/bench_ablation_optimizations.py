@@ -1,4 +1,4 @@
-"""Ablations (ours) — the design choices DESIGN.md calls out.
+"""Ablations (ours) — the design choices the paper's method rests on.
 
 1. Appendix A.3 optimizations: candidate pruning and group memoization
    — measure their effect on inference time and containment accuracy.

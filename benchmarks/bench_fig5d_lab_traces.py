@@ -1,7 +1,7 @@
 """Figure 5(d) — RFINFER vs SMURF* on the lab traces T1…T8.
 
 The physical lab is replaced by trace generation with the measured
-profiles of Appendix C.2 (see DESIGN.md's substitution table).
+profiles of Appendix C.2 (see :mod:`repro.sim.lab`).
 Expected shape: RFINFER containment error ≤ ~6% on stable traces
 (T1–T4) and ≤ ~13% with containment changes (T5–T8); SMURF* is several
 times worse throughout; location errors follow the same ordering.

@@ -1,5 +1,5 @@
 """§5.4 table — Q1/Q2 answer quality and query-state size w/ and w/o
-centroid sharing, plus compiled-vs-legacy migrated-state accounting.
+centroid sharing, plus migrated-state accounting.
 
 A cold-chain deployment runs inference, feeds the inferred event stream
 to Q1 (hybrid: containment + location + temperature) and Q2 (location
@@ -8,11 +8,10 @@ storage area's hand-off point the per-object automaton states are
 serialized raw and with centroid-based sharing (grouped by container,
 as §4.2 prescribes).
 
-Since the declarative-plan refactor, each query also runs through its
-*legacy* hand-written implementation, and the per-query migrated-state
-bytes (the sum of every monitored object's ``export_state`` payload)
-are reported for both paths. They must be **equal** — compiled plans
-promise byte-identical migration state — and the bench asserts it.
+Each cell also reports the per-query migrated-state bytes (the sum of
+every monitored object's ``export_state`` payload). That the compiled
+plans migrate the same bytes as the hand-written queries is asserted by
+``tests/test_query_plans.py``, not here.
 
 Expected shape: F-measures rise with the read rate and Q2 ≥ Q1 (Q2
 avoids the noisier containment estimate); sharing shrinks state several
@@ -43,10 +42,6 @@ from repro.core.events import ObjectEvent, events_from_truth
 from repro.core.service import ServiceConfig, StreamingInference
 from repro.distributed.sharing import centroid_compress
 from repro.metrics.fmeasure import match_alerts
-from repro.queries.legacy import (
-    LegacyFreezerExposureQuery,
-    LegacyTemperatureExposureQuery,
-)
 from repro.queries.q1 import FreezerExposureQuery
 from repro.queries.q2 import TemperatureExposureQuery
 from repro.sim.sensors import SensorReading
@@ -126,39 +121,19 @@ def run_cell(rr: float):
     inferred_events = sorted(service.events, key=lambda e: e.time)
 
     out = {}
-    for name, factory, legacy_factory in (
-        (
-            "Q1",
-            lambda: FreezerExposureQuery(scenario.catalog, exposure_duration=300),
-            lambda: LegacyFreezerExposureQuery(
-                scenario.catalog, exposure_duration=300
-            ),
-        ),
-        (
-            "Q2",
-            lambda: TemperatureExposureQuery(scenario.catalog, exposure_duration=400),
-            lambda: LegacyTemperatureExposureQuery(
-                scenario.catalog, exposure_duration=400
-            ),
-        ),
+    for name, factory in (
+        ("Q1", lambda: FreezerExposureQuery(scenario.catalog, 300)),
+        ("Q2", lambda: TemperatureExposureQuery(scenario.catalog, 400)),
     ):
         truth_q = run_query(factory(), truth_events, scenario)
         inferred_q = run_query(factory(), inferred_events, scenario)
-        legacy_q = run_query(legacy_factory(), inferred_events, scenario)
         fm = match_alerts(
             inferred_q.alert_pairs(), truth_q.alert_pairs(), tolerance=TOLERANCE
         )
         # Migrated bytes first: state_sizes probes via state_of, which
         # materializes quiescent partitions and would inflate exports.
         compiled_migrated = migrated_bytes(inferred_q, scenario)
-        legacy_migrated = migrated_bytes(legacy_q, scenario)
         raw, shared, encode_ms = state_sizes(inferred_q, service, scenario)
-        # The refactor's core promise, enforced on every bench run.
-        assert compiled_migrated == legacy_migrated, (
-            f"{name}: compiled plan migrates {compiled_migrated} B, "
-            f"legacy path {legacy_migrated} B — byte equivalence broken"
-        )
-        assert inferred_q.alerts == legacy_q.alerts
         out[name] = {
             "read_rate": rr,
             "f1": fm.f1,
@@ -168,7 +143,6 @@ def run_cell(rr: float):
             "encode_ms_mean": round(sum(encode_ms) / len(encode_ms), 3),
             "encode_ms_max": round(max(encode_ms), 3),
             "migrated_compiled": compiled_migrated,
-            "migrated_legacy": legacy_migrated,
         }
     return out
 
@@ -196,10 +170,6 @@ def emit(table, rates):
         rows.append(
             [f"{name} migrated compiled(B)"]
             + [str(c["migrated_compiled"]) for c in cells]
-        )
-        rows.append(
-            [f"{name} migrated legacy(B)"]
-            + [str(c["migrated_legacy"]) for c in cells]
         )
     emit_table(
         "Sec 5.4 query accuracy and state sharing",
@@ -230,9 +200,8 @@ def check_drift(payload: dict, baseline_path: str, budget: float) -> list[str]:
     Byte totals are deterministic given the seeded scenario, but
     inference is floating-point: platform differences can shift which
     events materialize and therefore how many pattern pushes collect
-    values. The migrated-byte gate allows ``budget`` relative drift;
-    equivalence between compiled and legacy is asserted exactly at run
-    time. Centroid sharing may not get worse at all: ``shared`` must not
+    values. The migrated-byte gate allows ``budget`` relative drift.
+    Centroid sharing may not get worse at all: ``shared`` must not
     exceed the baseline's, scaled by ``raw`` where the platform moved
     the raw bytes (same raw bytes: not one byte more).
     """
@@ -281,10 +250,7 @@ def main(argv=None) -> int:
         budget_flag="--max-drift",
         budget_default=0.10,
         budget_help="allowed relative drift in migrated bytes vs baseline",
-        gate_ok=(
-            "query-state gate: within budget (compiled == legacy exact, "
-            "shared <= baseline)"
-        ),
+        gate_ok="query-state gate: within budget (shared <= baseline)",
     )
 
 
@@ -304,8 +270,6 @@ def test_query_state_table(benchmark):
         for cell in cells:
             # Sharing shrinks every cell's state.
             assert cell["shared"] < cell["raw"]
-            # Compiled and legacy migrate identical bytes.
-            assert cell["migrated_compiled"] == cell["migrated_legacy"]
 
 
 if __name__ == "__main__":

@@ -5,9 +5,8 @@
 * :mod:`repro.core.candidates` — co-location counting and candidate
   pruning (Appendix A.3).
 * :mod:`repro.core.rfinfer` — the RFINFER EM algorithm (§3.2,
-  Algorithm 1) in optimized form.
-* :mod:`repro.core.reference` — a line-by-line naive implementation of
-  Algorithm 1, used to validate the optimized engine.
+  Algorithm 1) in optimized form, the only inference executor; its
+  slow reference is ``tests/oracles/algorithm1.py``.
 * :mod:`repro.core.evidence` — point/cumulative evidence of co-location
   (Eq. 7, Fig. 4).
 * :mod:`repro.core.changepoint` — GLR change-point detection with
@@ -30,11 +29,7 @@ from repro.core.likelihood import TraceWindow, WindowCache
 from repro.core.online import MemoryBudget, OnlineChangeDetector, OnlineConfig
 from repro.core.rfinfer import InferenceConfig, RFInfer, RFInferResult
 from repro.core.service import ServiceConfig, StreamingInference
-from repro.core.truncation import (
-    CriticalRegion,
-    find_critical_region,
-    find_critical_regions,
-)
+from repro.core.truncation import CriticalRegion, find_critical_regions
 
 __all__ = [
     "ChangePointDetector",
@@ -52,6 +47,5 @@ __all__ = [
     "TraceWindow",
     "WindowCache",
     "calibrate_threshold",
-    "find_critical_region",
     "find_critical_regions",
 ]

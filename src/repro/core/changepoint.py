@@ -9,7 +9,7 @@ likelihood-ratio statistic
 
 (The paper's Eq. 6 prints the difference with the opposite sign but
 flags a change when the statistic *exceeds* δ; we implement the
-standard positive GLR form — see DESIGN.md.) A change is flagged when
+standard positive GLR form.) A change is flagged when
 Δo(T) > δ; the change time is the maximizing t′, and the new container
 is the best candidate on the suffix. An "away" track (see
 :meth:`TraceWindow.away_evidence`) lets the suffix hypothesis be

@@ -25,15 +25,7 @@ import numpy as np
 from repro.sim.tags import EPC, TagKind
 from repro.sim.trace import Trace
 
-__all__ = ["TraceWindow", "WindowCache", "row_softmax"]
-
-
-def row_softmax(log_weights: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a (T, R) log-weight matrix."""
-    peak = log_weights.max(axis=1, keepdims=True)
-    out = np.exp(log_weights - peak)
-    out /= out.sum(axis=1, keepdims=True)
-    return out
+__all__ = ["TraceWindow", "WindowCache"]
 
 
 class TraceWindow:
@@ -221,14 +213,11 @@ class TraceWindow:
         logq = self.base * len(tags)
         return self.scatter(tags, logq)
 
-    def group_posterior(self, tags: Sequence[EPC]) -> np.ndarray:
-        """Normalized posterior q_tc over locations, rows = epochs."""
-        return row_softmax(self.group_log_posterior(tags))
-
     def group_posterior_logz(
         self, tags: Sequence[EPC]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior q_tc plus the per-row log-normalizer.
+        """Normalized posterior q_tc (rows = epochs) plus the per-row
+        log-normalizer.
 
         The normalizer ``logZ[t] = log Σ_a exp(logq[t, a])`` is the
         group's contribution to the data log-likelihood L(C) (Eq. 3);
@@ -247,32 +236,6 @@ class TraceWindow:
     def qbase(self, q: np.ndarray) -> np.ndarray:
         """Per-epoch expected base log-likelihood Σ_a q(a)·B[t, a]."""
         return np.einsum("tr,tr->t", q, self.base)
-
-    def point_evidence(self, q: np.ndarray, tag: EPC) -> np.ndarray:
-        """Per-epoch point evidence e_co(t) of ``tag`` under posterior q.
-
-        Eq. (7): e_co(t) = Σ_a q_tc(a) Σ_r log p(y_tro | ℓ = a). The
-        no-reading part is ``qbase``; each actual reading adds
-        ``q[t] · δ[r]``.
-        """
-        evidence = self.qbase(q)
-        rows, readers = self.tag_rows(tag)
-        if rows.size:
-            contrib = np.einsum("ij,ij->i", q[rows], self._delta[readers])
-            np.add.at(evidence, rows, contrib)
-        return evidence
-
-    def weight(self, q: np.ndarray, tag: EPC, row_mask: np.ndarray | None = None) -> float:
-        """Co-location strength w_co = Σ_t e_co(t) (Eq. 5) without
-        materializing the per-epoch evidence array."""
-        if row_mask is None:
-            total = float(self.qbase(q).sum())
-            rows, readers = self.tag_rows(tag)
-            if rows.size:
-                total += float(np.einsum("ij,ij->", q[rows], self._delta[readers]))
-            return total
-        evidence = self.point_evidence(q, tag)
-        return float(evidence[row_mask].sum())
 
     def away_evidence(self, tag: EPC) -> np.ndarray:
         """Per-epoch log-likelihood of ``tag``'s readings if it were at
@@ -304,7 +267,7 @@ class TraceWindow:
         Used for tags that belong to no inferred group (pallets, orphan
         objects) — equivalent to a container with zero contents.
         """
-        return self.group_posterior([tag])
+        return self.group_posterior_logz([tag])[0]
 
 
 class _CachedBase:

@@ -18,24 +18,17 @@ This implementation includes the Appendix A.3 optimizations:
 * *memoization* — a container whose member set did not change between
   EM iterations keeps its posterior without recomputation.
 
-The M-step itself runs in one of two modes:
-
-* **batched** (default) — all ``objects × candidates`` weights in a
-  handful of numpy passes: one ``qbase`` per candidate, one mask-matrix
-  matmul for the silence terms, and per-candidate gather/scatter-add
-  over the concatenated reading arrays for the firing terms. Evidence
-  extraction (``keep_evidence``) batches the same way.
-* **per-pair** (``InferenceConfig(batched=False)``) — the historical
-  loop calling :meth:`TraceWindow.weight` per (object, candidate) pair.
-  Kept as the in-tree reference for the equivalence suite
-  (``tests/test_equivalence.py``), which proves the two modes produce
-  identical containment, change points, events, and ledger bytes.
+The M-step computes all ``objects × candidates`` weights in a handful
+of numpy passes: one ``qbase`` per candidate, one mask-matrix matmul
+for the silence terms, and per-candidate gather/scatter-add over the
+concatenated reading arrays for the firing terms. Evidence extraction
+(``keep_evidence``) batches the same way.
 
 Convergence to a local maximum of the likelihood (Theorem 1) holds
 because the E- and M-steps each maximize the EM lower bound; the
 property tests in ``tests/test_rfinfer_properties.py`` verify the
 monotonicity empirically and check this engine against the naive
-line-by-line implementation in :mod:`repro.core.reference`.
+per-epoch Algorithm 1 in ``tests/oracles/algorithm1.py``.
 """
 
 from __future__ import annotations
@@ -67,9 +60,6 @@ class InferenceConfig:
     candidate_pruning: bool = True
     memoize: bool = True
     keep_evidence: bool = True
-    #: use the batched M-step/evidence kernels (False = the historical
-    #: per-(object, candidate) loop, kept for equivalence testing).
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -129,41 +119,21 @@ class RFInferResult:
             q = self.posteriors.get(container)
             if q is None:
                 q = self._solo_posterior(container)
-            cached = self._viterbi_decode(q)
+            cached = self._viterbi_decode_batch([q])[0]
             self._location_cache[container] = cached
         return cached
 
     #: log-likelihood cost of one location switch in the Viterbi decode.
     SWITCH_PENALTY = 15.0
 
-    def _viterbi_decode(self, q: np.ndarray) -> np.ndarray:
-        logq = np.log(np.maximum(q, 1e-300))
-        n_rows, n_loc = logq.shape
-        penalty = self.SWITCH_PENALTY
-        pointers = np.empty((n_rows, n_loc), dtype=np.int32)
-        score = logq[0].copy()
-        pointers[0] = np.arange(n_loc)
-        for row in range(1, n_rows):
-            best_prev = int(np.argmax(score))
-            switch_score = score[best_prev] - penalty
-            stay = score >= switch_score
-            pointers[row] = np.where(stay, np.arange(n_loc), best_prev)
-            score = np.where(stay, score, switch_score) + logq[row]
-        path = np.empty(n_rows, dtype=np.int64)
-        path[-1] = int(np.argmax(score))
-        for row in range(n_rows - 1, 0, -1):
-            path[row - 1] = pointers[row, path[row]]
-        # The virtual away state reports as place -1 ("not on site").
-        path[path == self.window.away_index] = -1
-        return path
-
     def _viterbi_decode_batch(self, qs: Sequence[np.ndarray]) -> np.ndarray:
         """Decode many posterior stacks at once — (B, T) paths.
 
-        Row-for-row the recurrence matches :meth:`_viterbi_decode`
-        (identical elementwise operations), but the epoch loop advances
-        all B containers together, so the Python-level iteration count
-        drops from B·T to T.
+        Per epoch, each location either stays on its own best path or
+        switches from the best location so far at ``SWITCH_PENALTY``;
+        the epoch loop advances all B containers together, so the
+        Python-level iteration count is T, not B·T. The virtual away
+        state reports as place -1 ("not on site").
         """
         logq = np.log(np.maximum(np.stack(qs), 1e-300))  # (B, T, R)
         n_batch, n_rows, n_loc = logq.shape
@@ -309,7 +279,7 @@ class _MStepBatch:
         self.mask_rows = np.vstack(distinct_rows)
 
         # Flat (object, candidate) pair table in per-object candidate
-        # order — the order the per-pair loop scores and tie-breaks in.
+        # order — the order the argmax tie-break follows.
         pair_obj: list[int] = []
         pair_col: list[int] = []
         pair_prior: list[float] = []
@@ -320,6 +290,10 @@ class _MStepBatch:
             if not cands:
                 continue
             prior = prior_weights.get(obj, {})
+            # Candidates the previous site never scored are at best as
+            # plausible as its worst observed candidate — without this
+            # floor an unseen candidate would outrank every migrated
+            # (≤ 0, relative) weight for free.
             floor = min(prior.values(), default=0.0)
             self.objs_with_cands.append(i)
             seg_starts.append(len(pair_obj))
@@ -404,7 +378,7 @@ class _MStepBatch:
         n_objects = len(self.objects)
         if not self.cand_list:
             # No candidate containers anywhere: every object keeps its
-            # previous assignment (matching the per-pair loop).
+            # previous assignment.
             return {obj: assignment.get(obj) for obj in self.objects}
         qb = np.stack(
             [window.qbase(posteriors[c]) for c in self.cand_list]
@@ -436,8 +410,8 @@ class _MStepBatch:
         }
         if self.seg_starts.size:
             seg_max = np.maximum.reduceat(pairs, self.seg_starts)
-            # First strict maximum in per-object candidate order — the
-            # tie-break of the per-pair loop ("w > best" keeps the first).
+            # Each object takes the first strict maximum in its candidate
+            # order: on an exact tie the earlier candidate wins.
             first = np.full(len(self.objs_with_cands), pairs.size, dtype=np.int64)
             seg_of_pair = (
                 np.searchsorted(self.seg_starts, np.arange(pairs.size), side="right")
@@ -469,10 +443,11 @@ class _MStepBatch:
     ) -> dict[EPC, dict[EPC, np.ndarray]]:
         """Batched ``keep_evidence`` extraction from the final posteriors.
 
+        Eq. (7) per (object, candidate) and window row: the final
+        M-step's ``qbase`` row plus each of the object's readings'
+        ``q[t] · δ[r]`` contribution, zeroed outside the object's mask.
         Reuses the final M-step's ``qbase`` rows and per-reading
-        contributions; the scatter-add order matches the per-pair
-        ``point_evidence`` path reading-for-reading, so the arrays are
-        bitwise identical to the historical extraction.
+        contributions instead of recomputing them.
         """
         if self._last_qb is None:  # no candidates were ever scored
             return {obj: {} for obj in self.objects}
@@ -563,12 +538,6 @@ class RFInfer:
                 assignment[obj] = cands[0] if cands else None
         return assignment
 
-    def _object_mask(self, obj: EPC) -> np.ndarray | None:
-        ranges = self.object_ranges.get(obj)
-        if ranges is None:
-            return None
-        return self.window.rows_in_ranges(ranges)
-
     def _object_masks(self) -> dict[EPC, np.ndarray | None]:
         """Evidence-range masks for every object, deduplicated.
 
@@ -590,61 +559,6 @@ class RFInfer:
             masks[obj] = mask
         return masks
 
-    # -- the per-pair (historical) kernels -----------------------------------
-
-    def _mstep_per_pair(
-        self,
-        candidates: dict[EPC, list[EPC]],
-        posteriors: dict[EPC, np.ndarray],
-        masks: dict[EPC, np.ndarray | None],
-        weights: dict[EPC, dict[EPC, float]],
-        assignment: dict[EPC, EPC | None],
-    ) -> dict[EPC, EPC | None]:
-        window = self.window
-        new_assignment: dict[EPC, EPC | None] = {}
-        for obj in self.objects:
-            cands = candidates.get(obj, [])
-            if not cands:
-                new_assignment[obj] = assignment.get(obj)
-                continue
-            prior = self.prior_weights.get(obj, {})
-            # Candidates the previous site never scored are at best
-            # as plausible as its worst observed candidate — without
-            # this floor an unseen candidate would outrank every
-            # migrated (≤ 0, relative) weight for free.
-            prior_floor = min(prior.values(), default=0.0)
-            mask = masks[obj]
-            best_container: EPC | None = None
-            best_weight = -np.inf
-            for cand in cands:
-                w = window.weight(posteriors[cand], obj, mask)
-                w += prior.get(cand, prior_floor)
-                weights[obj][cand] = w
-                if w > best_weight:
-                    best_weight = w
-                    best_container = cand
-            new_assignment[obj] = best_container
-        return new_assignment
-
-    def _evidence_per_pair(
-        self,
-        candidates: dict[EPC, list[EPC]],
-        posteriors: dict[EPC, np.ndarray],
-        masks: dict[EPC, np.ndarray | None],
-    ) -> dict[EPC, dict[EPC, np.ndarray]]:
-        window = self.window
-        evidence: dict[EPC, dict[EPC, np.ndarray]] = {}
-        for obj in self.objects:
-            per_candidate: dict[EPC, np.ndarray] = {}
-            mask = masks[obj]
-            for cand in candidates.get(obj, []):
-                arr = window.point_evidence(posteriors[cand], obj)
-                if mask is not None:
-                    arr = np.where(mask, arr, 0.0)
-                per_candidate[cand] = arr
-            evidence[obj] = per_candidate
-        return evidence
-
     # -- the EM loop ---------------------------------------------------------
 
     def run(self) -> RFInferResult:
@@ -660,10 +574,8 @@ class RFInfer:
             | set(self.pinned.values())
         )
         masks = self._object_masks()
-        batch = (
-            _MStepBatch(window, self.objects, candidates, masks, self.prior_weights)
-            if config.batched
-            else None
+        batch = _MStepBatch(
+            window, self.objects, candidates, masks, self.prior_weights
         )
 
         posteriors: dict[EPC, np.ndarray] = {}
@@ -704,28 +616,19 @@ class RFInfer:
 
             # M-step: co-location strengths and argmax assignment.
             started = _time.perf_counter()
-            if batch is not None:
-                new_assignment = batch.step(posteriors, assignment)
-            else:
-                new_assignment = self._mstep_per_pair(
-                    candidates, posteriors, masks, weights, assignment
-                )
+            new_assignment = batch.step(posteriors, assignment)
             timings["m_step"] += _time.perf_counter() - started
 
             if new_assignment == assignment:
                 break
             assignment = new_assignment
 
-        if batch is not None:
-            batch.fill_weights(weights)
+        batch.fill_weights(weights)
 
         evidence: dict[EPC, dict[EPC, np.ndarray]] | None = None
         if config.keep_evidence:
             started = _time.perf_counter()
-            if batch is not None:
-                evidence = batch.evidence(masks)
-            else:
-                evidence = self._evidence_per_pair(candidates, posteriors, masks)
+            evidence = batch.evidence(masks)
             timings["evidence"] += _time.perf_counter() - started
 
         final_members: dict[EPC, list[EPC]] = {c: [] for c in needed_containers}

@@ -19,12 +19,7 @@ import numpy as np
 from repro.core.rfinfer import RFInferResult
 from repro.sim.tags import EPC
 
-__all__ = [
-    "CriticalRegion",
-    "find_critical_region",
-    "find_critical_regions",
-    "find_all_critical_regions",
-]
+__all__ = ["CriticalRegion", "find_critical_regions"]
 
 
 @dataclass(frozen=True)
@@ -41,59 +36,6 @@ class CriticalRegion:
         return self.start <= epoch < self.end
 
 
-def find_critical_region(
-    result: RFInferResult,
-    tag: EPC,
-    width: int = 60,
-    stride: int | None = None,
-    margin_threshold: float = 10.0,
-) -> CriticalRegion | None:
-    """Find the most recent critical region for ``tag``.
-
-    Slides a window of ``width`` epochs (step ``stride``, default half
-    the width) across the inference window; within each, sums the point
-    evidence per candidate container and compares the best against the
-    second best. The *last* window whose margin exceeds
-    ``margin_threshold`` is returned (later evidence supersedes earlier
-    per the paper's overwrite rule). Returns None when the object has
-    fewer than two candidates or no window discriminates.
-    """
-    if result.evidence is None:
-        raise ValueError("inference ran with keep_evidence=False")
-    tracks = result.evidence.get(tag)
-    if tracks is None or len(tracks) < 2:
-        return None
-    if stride is None:
-        stride = max(width // 2, 1)
-
-    epochs = result.window.epochs
-    matrix = np.stack(list(tracks.values()))  # (n_candidates, n_rows)
-    cum = np.concatenate(
-        [np.zeros((matrix.shape[0], 1)), np.cumsum(matrix, axis=1)], axis=1
-    )
-    first, last = int(epochs[0]), int(epochs[-1])
-    # All window positions at once: per start, the candidates' evidence
-    # sums are prefix differences, and the best-vs-second margin falls
-    # out of one partition along the candidate axis.
-    starts = np.arange(first, last + 1, stride, dtype=np.int64)
-    lo = np.searchsorted(epochs, starts)
-    hi = np.searchsorted(epochs, starts + width)
-    occupied = hi > lo
-    if not occupied.any():
-        return None
-    starts, lo, hi = starts[occupied], lo[occupied], hi[occupied]
-    sums = cum[:, hi] - cum[:, lo]  # (n_candidates, n_windows)
-    top_two = np.partition(sums, sums.shape[0] - 2, axis=0)[-2:]
-    margins = top_two[1] - top_two[0]
-    winners = np.flatnonzero(margins > margin_threshold)
-    if winners.size == 0:
-        return None
-    # The *last* qualifying window wins (later evidence supersedes
-    # earlier per the paper's overwrite rule).
-    start = int(starts[winners[-1]])
-    return CriticalRegion(start, min(start + width, last + 1))
-
-
 def find_critical_regions(
     result: RFInferResult,
     tags: "Sequence[EPC] | None" = None,
@@ -101,14 +43,20 @@ def find_critical_regions(
     stride: int | None = None,
     margin_threshold: float = 10.0,
 ) -> dict[EPC, CriticalRegion]:
-    """Critical regions for many objects in one batched pass.
+    """The most recent critical region of each of ``tags`` (default:
+    every object with evidence), in one batched pass.
 
-    Stacks every eligible object's evidence tracks into a single
-    matrix, so the cumulative sums and window-position lookups are
-    computed once per run instead of once per object. Row-for-row the
-    arithmetic matches :func:`find_critical_region`, which remains the
-    single-object form (and the reference the equivalence tests pin
-    this batch against).
+    Slides a window of ``width`` epochs (step ``stride``, default half
+    the width) across the inference window; within each, sums the point
+    evidence per candidate container and compares the best against the
+    second best. The *last* window whose margin exceeds
+    ``margin_threshold`` is the object's region (later evidence
+    supersedes earlier per the paper's overwrite rule). Objects with
+    fewer than two candidates, or no discriminating window, get none.
+
+    Every eligible object's evidence tracks stack into one matrix, so
+    the cumulative sums and window-position lookups are computed once
+    per run instead of once per object.
     """
     if result.evidence is None:
         raise ValueError("inference ran with keep_evidence=False")
@@ -153,15 +101,3 @@ def find_critical_regions(
             start = int(starts[winners[-1]])
             regions[tag] = CriticalRegion(start, min(start + width, last + 1))
     return regions
-
-
-def find_all_critical_regions(
-    result: RFInferResult,
-    width: int = 60,
-    stride: int | None = None,
-    margin_threshold: float = 10.0,
-) -> dict[EPC, CriticalRegion]:
-    """Critical regions for every object that has one."""
-    return find_critical_regions(
-        result, None, width=width, stride=stride, margin_threshold=margin_threshold
-    )

@@ -14,8 +14,10 @@ migration, and generic checkpointing (:mod:`repro.queries.protocol`).
   only, §5.4).
 * :mod:`repro.queries.tracking` — a tracking query: report pallets/cases
   deviating from their intended path (§1's tracking query class).
-* :mod:`repro.queries.legacy` — the pre-compiler hand-written
-  implementations, kept as the equivalence suite's reference oracles.
+
+The compiled plans are the only query executor; the pre-compiler
+hand-written queries they are held byte-identical to live in
+``tests/oracles/queries.py``.
 
 Further monitors (dwell-time violations, co-location breaches) live in
 :mod:`repro.workloads.monitors` — each is a spec, not a subsystem.

@@ -27,7 +27,6 @@ reproduction traces are minutes long, not days.
 from __future__ import annotations
 
 from repro.queries.compiler import CompiledPattern, DeclarativeQuery
-from repro.queries.legacy import ExposureTuple
 from repro.queries.spec import (
     And,
     Compare,
@@ -50,7 +49,6 @@ from repro.workloads.catalog import ProductCatalog
 
 __all__ = [
     "FreezerExposureQuery",
-    "ExposureTuple",
     "SENSOR_CODEC",
     "exposure_join",
     "freezer_exposure_spec",

@@ -6,41 +6,41 @@ import pytest
 
 from repro.sim.supplychain import SupplyChainParams, simulate
 
+#: a small single-warehouse run used by many read-only tests.
+SMALL_CHAIN = SupplyChainParams(
+    n_warehouses=1,
+    horizon=900,
+    items_per_case=8,
+    cases_per_pallet=4,
+    injection_period=150,
+    main_read_rate=0.8,
+    overlap_rate=0.5,
+    seed=101,
+)
+
+#: a single warehouse with injected containment changes.
+ANOMALY_CHAIN = SupplyChainParams(
+    n_warehouses=1,
+    horizon=1500,
+    items_per_case=8,
+    cases_per_pallet=4,
+    injection_period=200,
+    main_read_rate=0.8,
+    overlap_rate=0.5,
+    anomaly_interval=100,
+    n_shelves=6,
+    seed=202,
+)
+
 
 @pytest.fixture(scope="session")
 def small_chain():
-    """A small single-warehouse run used by many read-only tests."""
-    return simulate(
-        SupplyChainParams(
-            n_warehouses=1,
-            horizon=900,
-            items_per_case=8,
-            cases_per_pallet=4,
-            injection_period=150,
-            main_read_rate=0.8,
-            overlap_rate=0.5,
-            seed=101,
-        )
-    )
+    return simulate(SMALL_CHAIN)
 
 
 @pytest.fixture(scope="session")
 def anomaly_chain():
-    """A single warehouse with injected containment changes."""
-    return simulate(
-        SupplyChainParams(
-            n_warehouses=1,
-            horizon=1500,
-            items_per_case=8,
-            cases_per_pallet=4,
-            injection_period=200,
-            main_read_rate=0.8,
-            overlap_rate=0.5,
-            anomaly_interval=100,
-            n_shelves=6,
-            seed=202,
-        )
-    )
+    return simulate(ANOMALY_CHAIN)
 
 
 @pytest.fixture(scope="session")

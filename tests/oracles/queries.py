@@ -1,12 +1,10 @@
-"""The original hand-written monitoring queries (reference oracles).
+"""Hand-written Q1, Q2 and tracking queries — the query layer's oracle.
 
-These are the pre-compiler implementations of Q1, Q2, and the tracking
-query, kept verbatim as the *reference path* the equivalence suite
-(``tests/test_query_plans.py``) and the query-state benchmark compare
-compiled plans against: alerts, migrated per-object state bytes, and
-checkpoint payloads must match bit for bit. They are not registered by
-any example or runtime code path — new scenarios are written as specs
-(:mod:`repro.queries.spec`), not as classes like these.
+The pre-compiler implementations of the paper's monitoring queries,
+kept verbatim as the reference ``tests/test_query_plans.py`` holds the
+compiled plans (:mod:`repro.queries`) to: alerts, migrated per-object
+state bytes, and checkpoint payloads must match bit for bit. Each query
+is a direct tuple-at-a-time reading of its CQL+SEQ text (§2).
 """
 
 from __future__ import annotations

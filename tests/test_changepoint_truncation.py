@@ -7,7 +7,7 @@ from repro.core.changepoint import ChangePointDetector, calibrate_threshold
 from repro.core.evidence import evidence_tracks
 from repro.core.likelihood import TraceWindow
 from repro.core.rfinfer import InferenceConfig, RFInfer
-from repro.core.truncation import find_all_critical_regions, find_critical_region
+from repro.core.truncation import find_critical_regions
 from repro.sim.tags import TagKind
 from repro.workloads.scenarios import evidence_scenario
 
@@ -59,7 +59,8 @@ class TestEvidence:
 class TestCriticalRegion:
     def test_region_found_around_belt(self, fig4):
         sc, out = fig4
-        region = find_critical_region(out, sc.object_tag, width=40)
+        regions = find_critical_regions(out, [sc.object_tag], width=40)
+        region = regions.get(sc.object_tag)
         assert region is not None
         # The window containing the belt passage discriminates best;
         # later shelf windows also qualify only if NRC never ties R.
@@ -75,16 +76,16 @@ class TestCriticalRegion:
             objects=items,
             containers=cases,
         ).run()
-        assert find_critical_region(out, items[0]) is None
+        assert find_critical_regions(out, items) == {}
 
     def test_find_all_returns_subset_of_objects(self, fig4):
         sc, out = fig4
-        regions = find_all_critical_regions(out, width=40)
+        regions = find_critical_regions(out, width=40)
         assert set(regions) <= {sc.object_tag}
 
     def test_contains(self, fig4):
         sc, out = fig4
-        region = find_critical_region(out, sc.object_tag, width=40)
+        region = find_critical_regions(out, [sc.object_tag], width=40)[sc.object_tag]
         assert region.start in region
         assert region.end not in region
 

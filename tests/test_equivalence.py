@@ -1,58 +1,47 @@
-"""Equivalence proofs for the batched inference kernels.
+"""Equivalence proofs for the batched inference engine.
 
-The batched M-step/evidence kernels (``InferenceConfig(batched=True)``,
-the default) must be indistinguishable from the historical per-pair
-path (``batched=False``) and from the naive line-by-line Algorithm 1
-(:mod:`repro.core.reference`):
+:mod:`repro.core.rfinfer` is the only inference executor. Two references
+pin it down:
 
-* containment, change points, critical regions, and emitted events are
-  **identical** (the discrete outputs downstream layers consume);
-* evidence arrays are **float64-exact** against the per-pair path (the
-  batched extraction replays the same additions in the same order);
-* weights agree to float64 rounding (the silence terms sum in a
-  different — but mathematically identical — order);
-* a federated chaos-seed run ships **byte-identical** Table-5 ledger
-  traffic under either kernel.
+* **Golden fixtures** (``tests/data/inference_golden.json``): the full
+  periodic service on three workload scenarios — critical-region
+  truncation on a clean chain, change detection + events on an
+  anomalous chain, sliding-window truncation — and a chaos-seed
+  federation run that adds migrations, query state and the Table-5
+  ledger. Discrete outputs (containment, iterations, change points,
+  critical regions, the event stream, alerts, migrations, ledger bytes)
+  must match exactly; floats (weights, change scores, containment
+  error, alert values) to ``rel=1e-9``, which absorbs BLAS
+  summation-order differences between machines.
+* **The naive Algorithm 1** (``tests/oracles/algorithm1.py``): kernel
+  checks on a real warehouse window, with evidence masks and migrated
+  priors, plus the critical-region search.
 
-Three workload scenarios cover the policy space: critical-region
-truncation on a clean chain, change detection + events on an anomalous
-chain, and sliding-window truncation; the federation scenario adds
-migrations, query state, and a faulty transport.
+How the fixture was produced: ``PYTHONPATH=src python
+tests/test_equivalence.py`` rewrites it from whatever ``src/`` is on the
+path. The committed file was written from commit 81b4868, the last tree
+that shipped the per-pair M-step/evidence loop (``batched=False``)
+beside the batched kernels, where this suite proved the two identical;
+that tree and every later one pass these tests unchanged.
 """
 
-from dataclasses import replace
+import hashlib
+import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.core.likelihood import TraceWindow, WindowCache
-from repro.core.reference import reference_rfinfer
 from repro.core.rfinfer import InferenceConfig, RFInfer
 from repro.core.service import ServiceConfig, StreamingInference
-from repro.core.truncation import find_critical_region, find_critical_regions
-from repro.sim.supplychain import SupplyChainParams, simulate
+from repro.core.truncation import find_critical_regions
 from repro.sim.tags import TagKind
 
 from chaos import CHAOS_CONFIG, chaos_scenario, chaos_transport, run_chaos
+from oracles.algorithm1 import algorithm1, critical_region
 
-
-def _service_outputs(trace, config: ServiceConfig, horizon: int):
-    service = StreamingInference(trace, config)
-    service.run_until(horizon)
-    return service
-
-
-def _run_pair(trace, config: ServiceConfig, horizon: int):
-    batched = _service_outputs(
-        trace, replace(config, inference=replace(config.inference, batched=True)),
-        horizon,
-    )
-    per_pair = _service_outputs(
-        trace, replace(config, inference=replace(config.inference, batched=False)),
-        horizon,
-    )
-    return batched, per_pair
-
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "inference_golden.json")
 
 SCENARIO_CONFIGS = {
     "cr-clean": ServiceConfig(
@@ -77,110 +66,203 @@ SCENARIO_CONFIGS = {
     ),
 }
 
+#: which conftest chain, and horizon, each scenario runs on.
+SCENARIO_INPUTS = {
+    "cr-clean": ("small_chain", 900),
+    "changes-anomalies": ("anomaly_chain", 1500),
+    "sliding-window": ("anomaly_chain", 1500),
+}
 
-@pytest.fixture(scope="module")
-def scenarios(small_chain, anomaly_chain):
+
+# -- canonical, JSON-shaped digests of a run ---------------------------------
+
+
+def _tag(tag) -> str | None:
+    return None if tag is None else str(tag)
+
+
+def _containment(containment) -> dict:
+    return {str(tag): _tag(c) for tag, c in sorted(containment.items())}
+
+
+def _change(change) -> list:
+    return [
+        str(change.tag),
+        change.time,
+        _tag(change.old_container),
+        _tag(change.new_container),
+        change.score,
+    ]
+
+
+def _sha256(lines) -> str:
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(f"{line}\n".encode())
+    return digest.hexdigest()
+
+
+def service_digest(trace, config: ServiceConfig, horizon: int) -> dict:
+    service = StreamingInference(trace, config)
+    service.run_until(horizon)
     return {
-        "cr-clean": (small_chain, 900),
-        "changes-anomalies": (anomaly_chain, 1500),
-        "sliding-window": (anomaly_chain, 1500),
+        "runs": [
+            {"containment": _containment(r.containment), "iterations": r.iterations}
+            for r in service.runs
+        ],
+        "changes": [_change(c) for c in service.changes],
+        "critical_regions": {
+            str(tag): [r.start, r.end]
+            for tag, r in sorted(service.critical_regions.items())
+        },
+        "events_sha256": _sha256(
+            f"{e.time} {e.tag} {e.site} {e.place} {_tag(e.container)}"
+            for e in service.events
+        ),
+        "last_weights": {
+            str(tag): {str(c): w for c, w in sorted(weights.items())}
+            for tag, weights in sorted(service.last_weights.items())
+        },
     }
 
 
+def federation_digest(result) -> dict:
+    return {
+        "containment_error": result.containment_error,
+        "snapshots_sha256": _sha256(
+            f"{time} {[(str(t), _tag(c)) for t, c in containment]} "
+            f"{[str(t) for t in known]}"
+            for time, containment, known in result.snapshots
+        ),
+        "alerts": [[key, start, end, list(vals)] for key, start, end, vals in result.alerts],
+        "changes": [_change(c) for c in result.changes],
+        "migrations": [
+            [str(m.tag), m.src, m.dst, m.time, m.bytes_sent] for m in result.migrations
+        ],
+        "data_bytes": dict(sorted(result.data_bytes.items())),
+        "all_bytes": dict(sorted(result.all_bytes.items())),
+    }
+
+
+def assert_matches(got, want, path: str = "") -> None:
+    """Exact on everything but floats, which compare to ``rel=1e-9``."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            assert_matches(got[key], want[key], f"{path}/{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (mine, theirs) in enumerate(zip(got, want)):
+            assert_matches(mine, theirs, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-9), path
+    else:
+        assert got == want and type(got) is type(want), path
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def service_digests(request):
+    cache: dict = {}
+
+    def digest(name: str) -> dict:
+        if name not in cache:
+            chain, horizon = SCENARIO_INPUTS[name]
+            trace = request.getfixturevalue(chain).trace
+            cache[name] = service_digest(trace, SCENARIO_CONFIGS[name], horizon)
+        return cache[name]
+
+    return digest
+
+
 class TestServiceEquivalence:
-    """Batched vs per-pair kernels through the full periodic service."""
+    """The full periodic service against the frozen per-scenario digests."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIO_CONFIGS))
-    def test_discrete_outputs_identical(self, name, scenarios):
-        result, horizon = scenarios[name]
-        batched, per_pair = _run_pair(result.trace, SCENARIO_CONFIGS[name], horizon)
-        assert batched.containment == per_pair.containment
-        assert batched.changes == per_pair.changes
-        assert batched.critical_regions == per_pair.critical_regions
-        assert batched.events == per_pair.events
-        assert [r.containment for r in batched.runs] == [
-            r.containment for r in per_pair.runs
-        ]
-        assert [r.iterations for r in batched.runs] == [
-            r.iterations for r in per_pair.runs
-        ]
+    def test_discrete_outputs_identical(self, name, service_digests, golden):
+        got, want = service_digests(name), golden["services"][name]
+        assert got["runs"] == want["runs"]
+        assert [c[:4] for c in got["changes"]] == [c[:4] for c in want["changes"]]
+        assert got["critical_regions"] == want["critical_regions"]
+        assert got["events_sha256"] == want["events_sha256"]
 
     @pytest.mark.parametrize("name", sorted(SCENARIO_CONFIGS))
-    def test_weights_match_to_rounding(self, name, scenarios):
-        result, horizon = scenarios[name]
-        batched, per_pair = _run_pair(result.trace, SCENARIO_CONFIGS[name], horizon)
-        assert set(batched.last_weights) == set(per_pair.last_weights)
-        for tag, per_candidate in batched.last_weights.items():
-            other = per_pair.last_weights[tag]
-            assert set(per_candidate) == set(other)
-            for cand, weight in per_candidate.items():
-                assert weight == pytest.approx(other[cand], rel=1e-9, abs=1e-8)
+    def test_weights_match_to_rounding(self, name, service_digests, golden):
+        got, want = service_digests(name), golden["services"][name]
+        assert_matches(got["last_weights"], want["last_weights"], "last_weights")
+        assert_matches(got["changes"], want["changes"], "changes")
 
 
 class TestKernelEquivalence:
-    """Kernel-level checks against the per-pair path and Algorithm 1."""
+    """The engine against the naive Algorithm 1 on a warehouse window."""
 
     @pytest.fixture(scope="class")
     def window(self, small_chain):
         return TraceWindow.from_range(small_chain.trace, 0, 900)
 
-    def _engines(self, window, **kwargs):
-        fast = RFInfer(window, InferenceConfig(batched=True), **kwargs).run()
-        slow = RFInfer(window, InferenceConfig(batched=False), **kwargs).run()
+    @staticmethod
+    def _against_oracle(window, config=None, **inputs):
+        fast = RFInfer(window, config or InferenceConfig(), **inputs).run()
+        slow = algorithm1(
+            window.trace,
+            window.epochs,
+            inputs["objects"],
+            fast.candidates,
+            initial=inputs.get("initial_containment"),
+            prior_weights=inputs.get("prior_weights"),
+            object_ranges=inputs.get("object_ranges"),
+            pinned=inputs.get("pinned"),
+        )
+        assert fast.containment == slow.containment
+        assert fast.iterations == slow.iterations
+        for obj, per_candidate in slow.weights.items():
+            assert list(fast.weights[obj]) == list(per_candidate)
+            for cand, weight in per_candidate.items():
+                assert fast.weights[obj][cand] == pytest.approx(weight, rel=1e-9)
         return fast, slow
 
-    def test_masked_run_evidence_is_bitwise_equal(self, window):
-        objects = window.tags(TagKind.ITEM)
+    def test_masked_run_evidence_matches(self, window):
+        objects = window.tags(TagKind.ITEM)[:12]
         ranges = {obj: [(100, 700)] for obj in objects[::2]}
-        fast, slow = self._engines(window, object_ranges=ranges)
-        assert fast.containment == slow.containment
-        assert fast.candidates == slow.candidates
-        assert fast.evidence is not None and slow.evidence is not None
-        for obj, tracks in fast.evidence.items():
-            assert list(tracks) == list(slow.evidence[obj])
+        fast, slow = self._against_oracle(window, objects=objects, object_ranges=ranges)
+        assert fast.evidence is not None
+        for obj, tracks in slow.evidence.items():
+            assert list(fast.evidence[obj]) == list(tracks)
             for cand, arr in tracks.items():
-                np.testing.assert_array_equal(arr, slow.evidence[obj][cand])
+                np.testing.assert_allclose(fast.evidence[obj][cand], arr, rtol=1e-12)
 
     def test_prior_weights_run_matches(self, window):
-        objects = window.tags(TagKind.ITEM)
+        objects = window.tags(TagKind.ITEM)[:12]
         containers = window.tags(TagKind.CASE)
-        priors = {obj: {containers[0]: -3.0, containers[-1]: -1.0} for obj in objects[:7]}
-        fast, slow = self._engines(window, prior_weights=priors)
-        assert fast.containment == slow.containment
-        for obj in objects:
-            for cand, weight in fast.weights[obj].items():
-                assert weight == pytest.approx(slow.weights[obj][cand], rel=1e-9)
+        prior = {containers[0]: -3.0, containers[-1]: -1.0}
+        priors = {obj: dict(prior) for obj in objects[:7]}
+        self._against_oracle(window, objects=objects, prior_weights=priors)
 
     def test_batched_matches_naive_algorithm1(self, window):
         objects = window.tags(TagKind.ITEM)[:10]
         containers = window.tags(TagKind.CASE)
-        initial = {obj: containers[0] for obj in objects}
-        fast = RFInfer(
+        fast, slow = self._against_oracle(
             window,
-            InferenceConfig(batched=True, candidate_pruning=False),
+            InferenceConfig(candidate_pruning=False),
             objects=objects,
             containers=containers,
-            initial_containment=initial,
-        ).run()
-        slow = reference_rfinfer(
-            window, objects, containers, initial_containment=initial
+            initial_containment={obj: containers[0] for obj in objects},
         )
-        assert fast.containment == slow.containment
-        for obj in objects:
-            for cand in containers:
-                assert fast.weights[obj][cand] == pytest.approx(
-                    slow.weights[obj][cand], rel=1e-6, abs=1e-6
-                )
+        for container, q in slow.posteriors.items():
+            np.testing.assert_allclose(fast.posteriors[container], q, atol=1e-9)
 
     def test_log_likelihood_memo_matches_recompute(self, window):
-        fast, slow = self._engines(window)
-        # The memoized path (batched run) and the from-scratch path must
-        # agree; slow shares the same memo logic, so force a cache miss
-        # by clearing it.
+        objects = window.tags(TagKind.ITEM)[:10]
+        fast, slow = self._against_oracle(window, objects=objects)
         memoized = fast.log_likelihood()
-        fast._logz_cache.clear()
+        fast._logz_cache.clear()  # force the from-scratch path
         assert memoized == pytest.approx(fast.log_likelihood(), rel=1e-12)
-        assert memoized == pytest.approx(slow.log_likelihood(), rel=1e-12)
+        assert memoized == pytest.approx(slow.log_likelihood, rel=1e-12)
 
 
 class TestWindowEquivalence:
@@ -213,7 +295,7 @@ class TestWindowEquivalence:
         np.testing.assert_array_equal(warm.base, cold.base)
         assert warm.base_rows_reused == warm.n_rows
 
-    def test_batched_cr_search_matches_single(self, anomaly_chain):
+    def test_cr_search_matches_oracle(self, anomaly_chain):
         service = StreamingInference(
             anomaly_chain.trace,
             ServiceConfig(
@@ -225,55 +307,74 @@ class TestWindowEquivalence:
             ),
         )
         service.run_until(1500)
-        checked = 0
+        found = 0
         for record in service.runs:
             if record.result is None or record.result.evidence is None:
                 continue
-            objects = list(record.result.evidence)
-            batch = find_critical_regions(record.result, objects)
-            for obj in objects:
-                single = find_critical_region(record.result, obj)
-                assert batch.get(obj) == single
-                checked += 1
-        assert checked > 0
+            result = record.result
+            regions = find_critical_regions(result, list(result.evidence))
+            for obj, tracks in result.evidence.items():
+                want = critical_region(tracks, result.window.epochs)
+                got = regions.get(obj)
+                assert (None if got is None else got.as_range()) == want
+                found += want is not None
+        assert found > 0
 
 
 class TestFederationEquivalence:
-    """Batched vs per-pair kernels across a chaos-seed federation run.
+    """A chaos-seed federation run against its frozen digest.
 
-    Everything observable — containment error, alerts, detected
-    changes, migrations, and the Table-5 per-kind ledger byte counts —
-    must be identical, including under a seeded faulty transport.
+    Everything observable — containment error, snapshots, alerts,
+    detected changes, migrations, and the Table-5 per-kind ledger byte
+    counts — must match, and a seeded faulty transport must converge to
+    the same answers.
     """
 
     @pytest.fixture(scope="class")
     def results(self):
         scenario = chaos_scenario()
-        legacy_config = replace(
-            CHAOS_CONFIG, inference=replace(CHAOS_CONFIG.inference, batched=False)
-        )
-        batched = run_chaos(scenario, CHAOS_CONFIG)
-        per_pair = run_chaos(scenario, legacy_config)
+        clean = run_chaos(scenario, CHAOS_CONFIG)
         chaotic = run_chaos(scenario, CHAOS_CONFIG, transport=chaos_transport(101))
-        return batched, per_pair, chaotic
+        return clean, chaotic
 
-    def test_federation_outputs_identical(self, results):
-        batched, per_pair, _ = results
-        assert batched.containment_error == per_pair.containment_error
-        assert batched.snapshots == per_pair.snapshots
-        assert batched.alerts == per_pair.alerts
-        assert batched.changes == per_pair.changes
-        assert batched.migrations == per_pair.migrations
+    def test_federation_outputs_identical(self, results, golden):
+        got, want = federation_digest(results[0]), golden["federation"]
+        for key in (
+            "containment_error", "snapshots_sha256", "alerts", "changes", "migrations"
+        ):
+            assert_matches(got[key], want[key], key)
 
-    def test_table5_ledger_bytes_identical(self, results):
-        batched, per_pair, _ = results
-        assert batched.data_bytes == per_pair.data_bytes
-        assert batched.all_bytes == per_pair.all_bytes
+    def test_table5_ledger_bytes_identical(self, results, golden):
+        got, want = federation_digest(results[0]), golden["federation"]
+        assert got["data_bytes"] == want["data_bytes"]
+        assert got["all_bytes"] == want["all_bytes"]
 
-    def test_chaos_transport_still_converges_with_batched_kernels(self, results):
-        batched, _, chaotic = results
-        assert chaotic.containment_error == batched.containment_error
-        assert chaotic.alerts == batched.alerts
-        assert chaotic.changes == batched.changes
-        assert chaotic.data_bytes == batched.data_bytes
+    def test_chaos_transport_still_converges(self, results):
+        clean, chaotic = results
+        assert chaotic.containment_error == clean.containment_error
+        assert chaotic.alerts == clean.alerts
+        assert chaotic.changes == clean.changes
+        assert chaotic.data_bytes == clean.data_bytes
         assert chaotic.overhead_bytes > 0
+
+
+if __name__ == "__main__":
+    from conftest import ANOMALY_CHAIN, SMALL_CHAIN
+
+    from repro.sim.supplychain import simulate
+
+    chains = {
+        "small_chain": simulate(SMALL_CHAIN),
+        "anomaly_chain": simulate(ANOMALY_CHAIN),
+    }
+    frozen = {
+        "services": {
+            name: service_digest(chains[chain].trace, SCENARIO_CONFIGS[name], horizon)
+            for name, (chain, horizon) in sorted(SCENARIO_INPUTS.items())
+        },
+        "federation": federation_digest(run_chaos(chaos_scenario(), CHAOS_CONFIG)),
+    }
+    with open(GOLDEN_PATH, "w") as fh:
+        json.dump(frozen, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {GOLDEN_PATH}")

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.likelihood import TraceWindow, WindowCache, row_softmax
+from repro.core.likelihood import TraceWindow, WindowCache
+from repro.core.rfinfer import InferenceConfig, RFInfer
 from repro.sim.tags import EPC, TagKind
+
+from oracles.algorithm1 import tag_loglik
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +44,13 @@ class TestTraceWindow:
 
     def test_group_posterior_rows_normalized(self, window):
         tag = window.tags(TagKind.CASE)[0]
-        q = window.group_posterior([tag])
+        q, logz = window.group_posterior_logz([tag])
         assert q.shape == (window.n_rows, window.n_states)
         np.testing.assert_allclose(q.sum(axis=1), 1.0)
         assert (q >= 0).all()
+        logq = window.group_log_posterior([tag])
+        np.testing.assert_allclose(logz, np.log(np.exp(logq).sum(axis=1)))
+        np.testing.assert_array_equal(window.solo_posterior(tag), q)
 
     def test_scatter_matches_manual(self, window):
         tag = window.tags(TagKind.ITEM)[0]
@@ -57,22 +63,37 @@ class TestTraceWindow:
         np.testing.assert_allclose(out, manual)
 
     def test_point_evidence_sums_to_weight(self, window):
-        case = window.tags(TagKind.CASE)[0]
-        item = window.tags(TagKind.ITEM)[0]
-        q = window.group_posterior([case, item])
-        evidence = window.point_evidence(q, item)
-        assert evidence.sum() == pytest.approx(window.weight(q, item), rel=1e-9)
+        items = window.tags(TagKind.ITEM)[:4]
+        out = RFInfer(window, objects=items).run()
+        for obj in items:
+            loglik = tag_loglik(window.trace, window.epochs, obj)
+            for cand, evidence in out.evidence[obj].items():
+                # Eq. (7) per epoch, against the literal per-reader loop.
+                expected = np.einsum("tr,tr->t", out.posteriors[cand], loglik)
+                np.testing.assert_allclose(evidence, expected, rtol=1e-12)
+                # Eq. (5): the weight is the evidence summed over epochs.
+                assert evidence.sum() == pytest.approx(out.weights[obj][cand], rel=1e-9)
 
     def test_weight_with_mask_restricts_rows(self, window):
-        case = window.tags(TagKind.CASE)[0]
+        cases = window.tags(TagKind.CASE)
         item = window.tags(TagKind.ITEM)[0]
-        q = window.group_posterior([case, item])
+        # One iteration from the same start: both runs score against the
+        # same posteriors, so only the evidence range differs.
+        run = dict(
+            config=InferenceConfig(candidate_pruning=False, max_iterations=1),
+            objects=[item],
+            containers=cases,
+            initial_containment={item: cases[0]},
+        )
+        full = RFInfer(window, **run).run()
+        masked = RFInfer(window, object_ranges={item: [(0, 300)]}, **run).run()
         mask = window.rows_in_ranges([(0, 300)])
-        masked = window.weight(q, item, mask)
-        full = window.weight(q, item)
-        evidence = window.point_evidence(q, item)
-        assert masked == pytest.approx(evidence[mask].sum())
-        assert masked != pytest.approx(full)
+        for cand in cases:
+            evidence = full.evidence[item][cand]
+            assert masked.weights[item][cand] == pytest.approx(evidence[mask].sum())
+            assert masked.weights[item][cand] != pytest.approx(
+                full.weights[item][cand]
+            )
 
     def test_rows_in_ranges_union(self, window):
         mask = window.rows_in_ranges([(0, 10), (20, 30)])
@@ -129,11 +150,3 @@ class TestWindowCacheEviction:
         assert capped.rows_reused <= uncapped.rows_reused
         assert capped.rows_reused > 0
 
-
-class TestRowSoftmax:
-    def test_matches_manual(self):
-        logits = np.array([[0.0, 1.0, 2.0], [-5.0, -5.0, -5.0]])
-        out = row_softmax(logits)
-        np.testing.assert_allclose(out.sum(axis=1), 1.0)
-        np.testing.assert_allclose(out[1], 1 / 3)
-        assert out[0, 2] > out[0, 1] > out[0, 0]

@@ -3,12 +3,12 @@
 The declarative refactor's headline guarantee: compiling Q1/Q2/tracking
 from specs changes *nothing observable*. Alerts, per-object migrated
 state bytes, and checkpoint payloads are bit-identical to the original
-hand-written implementations (kept in :mod:`repro.queries.legacy` as
-reference oracles) — standalone over ground-truth and inferred streams,
-and end-to-end through a federated run including a chaos-seed fault
-plan. On top of that, the suite pins the multi-query optimizer's
-sharing counts, exercises the two new declarative monitors, and
-property-tests the generic plan-state codecs.
+hand-written implementations (the oracle in ``tests/oracles/queries.py``)
+— standalone over ground-truth and inferred streams, and end-to-end
+through a federated run including a chaos-seed fault plan. On top of
+that, the suite pins the multi-query optimizer's sharing counts,
+exercises the two new declarative monitors, and property-tests the
+generic plan-state codecs.
 """
 
 from dataclasses import dataclass
@@ -19,11 +19,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.events import EventLog, ObjectEvent, events_from_truth
 from repro.core.service import ServiceConfig, StreamingInference
 from repro.queries.compiler import QueryEngine, RouteAutomaton
-from repro.queries.legacy import (
-    LegacyFreezerExposureQuery,
-    LegacyPathDeviationQuery,
-    LegacyTemperatureExposureQuery,
-)
 from repro.queries.q1 import SENSOR_CODEC, FreezerExposureQuery, freezer_exposure_spec
 from repro.queries.q2 import TemperatureExposureQuery, temperature_exposure_spec
 from repro.queries.spec import (
@@ -54,6 +49,11 @@ from repro.workloads.monitors import (
 from repro.workloads.scenarios import cold_chain_scenario
 
 from chaos import CHAOS_CONFIG, chaos_scenario, chaos_transport
+from oracles.queries import (
+    LegacyFreezerExposureQuery,
+    LegacyPathDeviationQuery,
+    LegacyTemperatureExposureQuery,
+)
 
 # -- scenario matrix -------------------------------------------------------
 

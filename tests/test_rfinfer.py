@@ -6,7 +6,8 @@ import pytest
 from repro.core.likelihood import TraceWindow
 from repro.core.rfinfer import InferenceConfig, RFInfer
 from repro.metrics.accuracy import containment_error_rate, location_error_rate
-from repro.sim.tags import TagKind
+from repro.sim.tags import EPC, TagKind
+from repro.sim.trace import Trace
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,39 @@ class TestContainment:
         for container, members in result.members.items():
             for obj in members:
                 assert result.containment[obj] == container
+
+    def test_exact_tie_goes_to_first_candidate(self, small_chain):
+        """Twin tags (identical readings) make both objects score both
+        containers identically; each takes the first in its candidate
+        list, and from there EM settles both into that container."""
+        trace = small_chain.trace
+        case = trace.tags(TagKind.CASE)[0]
+        item = trace.tags(TagKind.ITEM)[0]
+        times, tag_ids, readers = [trace.times], [trace.tag_ids], [trace.readers]
+        table = list(trace.tag_table)
+        twins = {}
+        for tag in (case, item):
+            twins[tag] = EPC(tag.kind, tag.serial + 10**6)
+            tag_times, tag_readers = trace.tag_readings(tag)
+            times.append(tag_times)
+            readers.append(tag_readers)
+            tag_ids.append(np.full(tag_times.size, len(table)))
+            table.append(twins[tag])
+        doubled = Trace.from_columns(
+            trace.site, trace.layout, trace.model, np.concatenate(times),
+            np.concatenate(tag_ids), np.concatenate(readers), table, trace.horizon,
+        )
+        window = TraceWindow.from_range(doubled, 0, 600)
+        objects = [item, twins[item]]
+        for order in ([case, twins[case]], [twins[case], case]):
+            out = RFInfer(
+                window,
+                InferenceConfig(candidate_pruning=False),
+                objects=objects,
+                containers=order,
+                initial_containment={item: case, twins[item]: twins[case]},
+            ).run()
+            assert out.containment == {obj: order[0] for obj in objects}
 
 
 class TestLocations:
@@ -90,8 +124,10 @@ class TestConfigAndMasks:
         ).run()
         evidence = out.evidence[obj]
         mask = window.rows_in_ranges([(100, 300)])
-        for arr in evidence.values():
+        for cand, arr in evidence.items():
             assert (arr[~mask] == 0).all()
+            # Eq. (5): the weight is the evidence summed over the range.
+            assert out.weights[obj][cand] == pytest.approx(arr.sum(), rel=1e-9)
 
     def test_memoization_does_not_change_answers(self, small_chain):
         window = TraceWindow.from_range(small_chain.trace, 0, 600)
