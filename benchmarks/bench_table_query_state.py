@@ -38,14 +38,12 @@ from collections import defaultdict
 
 from _common import bench_cli, emit_table, load_baseline
 
-from repro.core.events import ObjectEvent, events_from_truth
+from repro.core.events import events_from_truth
 from repro.core.service import ServiceConfig, StreamingInference
 from repro.distributed.sharing import centroid_compress
 from repro.metrics.fmeasure import match_alerts
 from repro.queries.q1 import FreezerExposureQuery
 from repro.queries.q2 import TemperatureExposureQuery
-from repro.sim.sensors import SensorReading
-from repro.streams.engine import StreamScheduler
 from repro.streams.state import encode_pattern_state
 from repro.workloads.scenarios import cold_chain_scenario
 
@@ -54,10 +52,7 @@ TOLERANCE = 310  # one inference interval of answer latency
 
 
 def run_query(query, events, scenario):
-    scheduler = StreamScheduler()
-    scheduler.route(ObjectEvent, query.on_event)
-    scheduler.route(SensorReading, query.on_sensor)
-    scheduler.run(events, scenario.sensor_stream(0))
+    query.push_batch(events, scenario.sensor_stream(0))
     return query
 
 

@@ -14,12 +14,10 @@ alerts a perfect (ground-truth) stream produces.
 Run:  python examples/cold_chain_monitoring.py
 """
 
-from repro.core.events import ObjectEvent, events_from_truth
+from repro.core.events import events_from_truth
 from repro.core.service import ServiceConfig, StreamingInference
 from repro.metrics.fmeasure import match_alerts
 from repro.queries.q1 import FreezerExposureQuery
-from repro.sim.sensors import SensorReading
-from repro.streams.engine import StreamScheduler
 from repro.workloads.scenarios import cold_chain_scenario
 
 EXPOSURE = 300  # epochs outside a freezer before alerting (paper: 6 h)
@@ -27,10 +25,8 @@ EXPOSURE = 300  # epochs outside a freezer before alerting (paper: 6 h)
 
 def run_q1(events, scenario):
     query = FreezerExposureQuery(scenario.catalog, exposure_duration=EXPOSURE)
-    scheduler = StreamScheduler()
-    scheduler.route(ObjectEvent, query.on_event)
-    scheduler.route(SensorReading, query.on_sensor)
-    scheduler.run(events, scenario.sensor_stream(0))
+    # One batch: both streams in time order, sensors first at equal times.
+    query.push_batch(events, scenario.sensor_stream(0))
     return query
 
 

@@ -77,12 +77,14 @@ def path_deviation() -> None:
     }
     query = PathDeviationQuery(routes)
     # Feed ground-truth site visits (a deployment would feed inferred
-    # events; see examples/cold_chain_monitoring.py for that wiring).
+    # events; see examples/cold_chain_monitoring.py for that wiring),
+    # one batch per ward.
     for site, trace in enumerate(result.traces):
-        for reading in trace.readings:
-            if reading.tag.kind is TagKind.CASE:
-                query.on_event(ObjectEvent(reading.time, reading.tag, site,
-                                           reading.reader, None))
+        query.push_batch([
+            ObjectEvent(reading.time, reading.tag, site, reading.reader, None)
+            for reading in trace.readings
+            if reading.tag.kind is TagKind.CASE
+        ])
     print(f"\ncarts monitored        : {len(routes)}")
     print(f"deviation alerts       : {len(query.alerts)}")
     for alert in query.alerts[:5]:

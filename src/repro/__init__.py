@@ -7,8 +7,11 @@ Subpackages:
   collapsed state, the streaming service, hierarchical containment.
 * :mod:`repro.sim` — warehouses, readers, supply chains, lab traces.
 * :mod:`repro.baselines` — SMURF and SMURF*.
-* :mod:`repro.streams` / :mod:`repro.queries` — CQL-style continuous
-  queries with SEQ pattern matching (Q1, Q2, tracking).
+* :mod:`repro.queries` / :mod:`repro.streams` — CQL-style continuous
+  queries with SEQ pattern matching (Q1, Q2, tracking), compiled from
+  declarative specs and run one batch at a time
+  (``QueryEngine.push_batch``); ``repro.streams`` holds their windows,
+  automata and state codecs.
 * :mod:`repro.runtime` — the event-driven federation: site nodes,
   pluggable transports, batched state migration, query routing.
 * :mod:`repro.archive` / :mod:`repro.serving` — per-site append-only

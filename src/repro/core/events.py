@@ -11,8 +11,8 @@ The stream is handed over **columnar**: each inference run appends one
 as indices into a per-batch EPC table, rows in ``(time, tag)`` order)
 to the service's :class:`EventLog`. The query engine and the archive
 consume the columns directly; an :class:`ObjectEvent` tuple is only
-built when somebody indexes or iterates the log (hand-written queries,
-examples, tests), so the log still reads like the list it replaced.
+built when somebody indexes or iterates the log (examples, tests), so
+the log still reads like the list it replaced.
 """
 
 from __future__ import annotations

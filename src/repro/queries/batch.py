@@ -1,36 +1,42 @@
 """Columnar execution of a site's compiled plans over one batch.
 
+:class:`BatchProgram` is the query layer's only executor.
 :meth:`QueryEngine.push_batch <repro.queries.compiler.QueryEngine.push_batch>`
-hands a boundary's tuples — the inference run's event columns and the
-interval's sensor readings — to :class:`BatchProgram`, which computes
-exactly what pushing the same tuples one at a time would, without
+hands it a boundary's tuples — the inference run's event columns and
+the interval's sensor readings — and it computes exactly what pushing
+the same tuples one at a time through the plans' operator DAG would
+(``tests/oracles/dag.py`` keeps that DAG as the oracle), without
 touching most of them in Python:
 
 * **Arrival rank.** The two streams merge by time, sensors before
-  events at equal time (the stream engine's tie-break); a tuple's
-  position in that merge is its *rank*. Every operator's output over
-  the batch is a :class:`Rows`: columns plus the rank of the source
-  tuple each row came from.
+  events at equal time, so a reading is in its window before the
+  events of its epoch probe it; a tuple's position in that merge is
+  its *rank*. Every operator's output over the batch is a
+  :class:`Rows`: columns plus the rank of the source tuple each row
+  came from.
+* **Visit order.** One tuple reaches an operator's consumers in the
+  order of the engine's recorded edges: window updates last, the rest
+  in creation order. The depth-first walk over those edges numbers
+  every edge once; the number orders same-rank calls into a global
+  block, and a join probe against its window's same-rank update.
 * **The local plane is numpy.** ``Where`` is a boolean mask
   (:meth:`Predicate.mask <repro.queries.spec.Predicate.mask>`, cached
   per input by signature so ``Where(x, P)`` and ``Where(x, Not(P))``
   evaluate ``P`` once; catalog predicates run once per distinct tag).
   ``JoinLatest`` is a sort-merge as-of join: a probe row matches the
   latest build row of its key that arrived before it — at equal rank
-  the probe comes first whenever the tuple-at-a-time DAG would visit
-  the join before the window update, which the compiler's subscription
-  priorities guarantee for a shared upstream — else the row the window
-  carried in from earlier batches. ``Latest`` keeps only each key's
-  last row, written to the window table once the batch is done.
+  the probe comes first whenever its edge precedes the window update's
+  in visit order, which it always does for a shared upstream — else
+  the row the window carried in from earlier batches. ``Latest`` keeps
+  only each key's last row, written to the window table once the batch
+  is done.
 * **Global blocks stay scalar** and see only the rows that can change
-  them, in arrival order (ties in DAG visit order): a ``SEQ(A+)`` block
+  them, in arrival order (ties in visit order): a ``SEQ(A+)`` block
   gets its push rows plus the reset rows of objects that hold state or
   are pushed in this batch; a route automaton gets each object's first
   row and its site changes.
 * **Fallback.** A predicate without a columnar ``mask`` is evaluated on
-  materialized rows, and a subscriber the compiler did not wire (a
-  plain callable on a plan operator) is fed materialized rows — for
-  that operator only.
+  materialized rows.
 """
 
 from __future__ import annotations
@@ -54,11 +60,11 @@ from repro.queries.spec import (
 from repro.sim.sensors import SensorReading
 from repro.sim.tags import EPC
 
-__all__ = ["BatchProgram", "EpcCodes", "Rows", "STREAM_SCHEMAS", "row_type"]
+__all__ = ["BatchProgram", "EpcCodes", "Rows", "STREAM_SCHEMAS"]
 
 #: stream name → (tuple type the runtime feeds it with, column kinds).
-#: At equal timestamps tuples of an earlier stream arrive first (the
-#: stream engine's tie-break: sensors before the events that probe them).
+#: At equal timestamps tuples of an earlier stream arrive first:
+#: sensors before the events that probe them.
 STREAM_SCHEMAS: dict[str, tuple[type, dict[str, str]]] = {
     "sensors": (
         SensorReading,
@@ -75,7 +81,7 @@ _KEY_LIMIT = 2**62
 
 
 @lru_cache(maxsize=None)
-def row_type(names: tuple[str, ...]) -> type:
+def _row_type(names: tuple[str, ...]) -> type:
     """Cached output-row type for one join projection."""
     return namedtuple("Row", names)
 
@@ -280,48 +286,30 @@ def _latest_before(
 
 
 class BatchProgram:
-    """An engine's operator DAG, laid out for batch execution.
+    """An engine's plans, laid out for batch execution.
 
     Built from the engine's ``(node, operator)`` pairs in creation
-    order (parents first). ``visit`` gives every wired subscription its
-    position in the depth-first walk a single pushed tuple takes
-    through the DAG — what orders same-rank calls into a global block,
-    and a join probe against its window's same-rank update.
+    order (parents first) and its input edges. ``visit`` gives every
+    edge ``(id(parent), id(receiver), method)`` its position in the
+    depth-first walk a single tuple takes from its stream.
     """
 
     def __init__(self, engine: Any) -> None:
         self.engine = engine
         self.steps: list[tuple[Any, Any]] = list(engine.plan_steps)
-        op_of = engine.operator_of
-        #: (id(parent op), id(receiver), method) -> the local operator
-        #: behind a wired subscription (None: a global block's input).
-        wired: dict[tuple[int, int, str], Any] = {}
-        for node, op in self.steps:
-            if isinstance(node, (Where, Latest, JoinLatest)):
-                wired[(id(op_of(node.source)), id(op), "push")] = op
-            elif isinstance(node, RouteConformance):
-                wired[(id(op_of(node.source)), id(op), "push")] = None
-            elif isinstance(node, KleeneDuration):
-                wired[(id(op_of(node.source)), id(op.pattern), "push")] = None
-                for reset in node.resets:
-                    wired[(id(op_of(reset)), id(op), "on_reset")] = None
+        consumers: dict[int, list[tuple[bool, Any, str]]] = {}
+        for parent, receiver, method, update in engine.edges:
+            consumers.setdefault(id(parent), []).append((update, receiver, method))
         self.visit: dict[tuple[int, int, str], int] = {}
-        #: id(op) -> subscribers the compiler did not wire.
-        self.foreign: dict[int, list[Callable[[Any], None]]] = {}
 
         def walk(op: Any) -> None:
-            for _, _, target in op._subscribers:
-                edge = (
-                    id(op),
-                    id(getattr(target, "__self__", None)),
-                    getattr(target, "__name__", ""),
-                )
-                if edge not in wired:
-                    self.foreign.setdefault(id(op), []).append(target)
-                    continue
-                self.visit[edge] = len(self.visit)
-                if wired[edge] is not None:
-                    walk(wired[edge])
+            # Window updates after the other consumers (a stable sort
+            # keeps creation order within each group).
+            for _, receiver, method in sorted(
+                consumers.get(id(op), ()), key=lambda edge: edge[0]
+            ):
+                self.visit[(id(op), id(receiver), method)] = len(self.visit)
+                walk(receiver)
 
         for node, op in self.steps:
             if isinstance(node, Stream):
@@ -366,9 +354,6 @@ class BatchProgram:
                 blocks.append((node, op))
                 continue
             out[id(op)] = rows
-            for sink in self.foreign.get(id(op), ()):
-                for item in rows.objects():
-                    sink(item)
         # Global blocks read no local state, so running them after the
         # local plane equals interleaving them with it.
         for node, op in blocks:
@@ -450,7 +435,7 @@ class BatchProgram:
                     )
                 col[carried] = table[hit_of]
             cols[name] = col[keep]
-        return Rows(probe.rank[keep], cols, kinds, row_type(tuple(cols)), self.engine.codes)
+        return Rows(probe.rank[keep], cols, kinds, _row_type(tuple(cols)), self.engine.codes)
 
     def _run_pattern(self, node: KleeneDuration, block: Any, out: dict[int, Rows]) -> None:
         """Feed one ``SEQ(A+)`` block the rows that can change it."""

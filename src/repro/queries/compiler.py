@@ -1,9 +1,10 @@
 """Compiling query specs into shared, migratable operator plans.
 
 The :class:`QueryEngine` is one site's operator runtime. Registering a
-:class:`~repro.queries.spec.QuerySpec` lowers it into a DAG of
-push-based incremental operators (:mod:`repro.streams.operators`) and
-returns a :class:`CompiledPlan` — the uniform handle the rest of the
+:class:`~repro.queries.spec.QuerySpec` lowers it onto the engine's
+shared operators — window relations, ``SEQ(A+)`` automata, route
+automata, and the spec nodes themselves for the stateless stages — and
+returns a :class:`CompiledPlan`, the uniform handle the rest of the
 system talks to:
 
 * **multi-query optimization** — operators are hash-consed on their
@@ -26,23 +27,25 @@ system talks to:
   established, so compiled plans are byte-compatible with them —
   the equivalence suite asserts it bit for bit.
 
-**Two ways in.** :meth:`QueryEngine.push` dispatches one tuple through
-the operator DAG and defines what a plan computes.
-:meth:`QueryEngine.push_batch` takes a whole boundary's tuples — the
-inference run's event columns plus the interval's sensor readings —
-and computes the same thing (alerts and their order, migration and
-checkpoint bytes, window tables) with the local plane as numpy column
-operations and the global blocks fed only the rows that can change
-them; :mod:`repro.queries.batch` has the execution model. The site
-runtime uses the batch form.
+**One way in.** :meth:`QueryEngine.push_batch` takes a batch of both
+streams — a boundary's inference event columns plus the interval's
+sensor readings — and runs every registered plan over it: the local
+plane as numpy column operations, the global blocks fed only the rows
+that can change them (:mod:`repro.queries.batch` has the execution
+model). A plan computes what pushing the merged tuples one at a time
+through its operator DAG would; that tuple-at-a-time DAG is the oracle
+in ``tests/oracles/dag.py``.
 
-**Join timing.** When a join's probe side and its window's build side
-share an upstream operator (the co-location monitor joins events
-against the latest event per storage location), window updates are
-wired at :data:`~repro.streams.operators.WINDOW_UPDATE_PRIORITY` so a
-tuple probes the relation *as of the previous instant* before being
-folded in — CQL's pre-update ``[Now]`` semantics, deterministic
-regardless of registration order.
+**Edges.** Lowering records one edge per input an operator reads —
+``(parent op, receiver, method, is_window_update)``, in creation
+order — and nothing subscribes to anything. The edges fix the order in
+which one tuple reaches its consumers: a parent's window updates come
+after its other consumers, which keep creation order. So when a join's
+probe side and its window's build side share an upstream operator (the
+co-location monitor joins events against the latest event per storage
+location), a tuple probes the relation *as of the previous instant*
+before being folded in — CQL's pre-update ``[Now]`` semantics,
+deterministic regardless of registration order.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from repro._util.encoding import ByteReader, ByteWriter
 from repro.core.events import EventLog, ObjectEvent
-from repro.queries.batch import STREAM_SCHEMAS, BatchProgram, EpcCodes, row_type
+from repro.queries.batch import STREAM_SCHEMAS, BatchProgram, EpcCodes
 from repro.queries.spec import (
     JoinLatest,
     KleeneDuration,
@@ -66,13 +69,7 @@ from repro.queries.spec import (
 )
 from repro.sim.sensors import SensorReading
 from repro.sim.tags import EPC, read_epc, write_epc
-from repro.streams.operators import (
-    WINDOW_UPDATE_PRIORITY,
-    Filter,
-    LatestByKey,
-    NowJoin,
-    Operator,
-)
+from repro.streams.operators import LatestByKey
 from repro.streams.pattern import KleeneDurationPattern
 from repro.streams.state import (
     decode_pattern_state,
@@ -90,25 +87,12 @@ __all__ = [
     "RouteAutomaton",
     "DeclarativeQuery",
     "DeviationAlert",
-    "STREAM_TYPES",
 ]
-
-#: stream name → tuple type the runtime feeds it with.
-STREAM_TYPES: dict[str, type] = {
-    name: row for name, (row, _) in STREAM_SCHEMAS.items()
-}
 
 
 def _getter(fields: tuple[str, ...]) -> Callable[[Any], Hashable]:
     """Attribute getter: scalar for one field, tuple for several."""
     return attrgetter(*fields) if len(fields) > 1 else attrgetter(fields[0])
-
-
-class _SourceOp(Operator):
-    """Entry point of one named stream; forwards every pushed tuple."""
-
-    def push(self, item: Any) -> None:
-        self.emit(item)
 
 
 # -- global blocks ---------------------------------------------------------
@@ -249,7 +233,7 @@ class _RouteProgress:
         )
 
 
-class RouteAutomaton(Operator):
+class RouteAutomaton:
     """The tracking query's global block: route conformance per object.
 
     Raises one alert the first time an object shows up at a site that
@@ -259,7 +243,6 @@ class RouteAutomaton(Operator):
     """
 
     def __init__(self, node: RouteConformance) -> None:
-        super().__init__()
         self.routes: dict[EPC, tuple[int, ...]] = dict(node.routes)
         self.progress: dict[EPC, _RouteProgress] = {}
         self.alerts: list[DeviationAlert] = []
@@ -285,9 +268,7 @@ class RouteAutomaton(Operator):
             return
         state.deviated = True
         expected = route[state.position : state.position + 2]
-        alert = DeviationAlert(tag, self._time(event), site, expected)
-        self.alerts.append(alert)
-        self.emit(alert)
+        self.alerts.append(DeviationAlert(tag, self._time(event), site, expected))
 
     def path_of(self, tag: EPC) -> list[int]:
         """Sites visited so far (the "list the path taken" query)."""
@@ -486,21 +467,18 @@ class CompiledPlan:
 
 
 class QueryEngine:
-    """One site's operator runtime: registry, sharing, dispatch."""
+    """One site's operator runtime: registry, sharing, execution."""
 
     def __init__(self) -> None:
         #: structural signature → live operator instance.
         self._ops: dict[tuple, Any] = {}
-        self.sources: dict[str, _SourceOp] = {}
-        #: registered stream tuple type → source operator.
-        self._by_type: dict[type, _SourceOp] = {}
-        #: exact pushed type → resolved source (isinstance semantics,
-        #: like the stream scheduler; ``None`` caches a miss).
-        self._dispatch: dict[type, _SourceOp | None] = {}
         self.plans: dict[str, CompiledPlan] = {}
-        #: every ``(spec node, operator)`` lowered so far, parents first
-        #: — what :class:`~repro.queries.batch.BatchProgram` lays out.
+        #: every ``(spec node, operator)`` lowered so far, parents first,
+        #: and every ``(parent op, receiver, method, is_window_update)``
+        #: input edge in creation order — what
+        #: :class:`~repro.queries.batch.BatchProgram` lays out.
         self.plan_steps: list[tuple[Node, Any]] = []
+        self.edges: list[tuple[Any, Any, str, bool]] = []
         #: EPC ↔ int codes of the batch path's tag-valued columns.
         self.codes = EpcCodes()
         self._program: BatchProgram | None = None
@@ -522,49 +500,25 @@ class QueryEngine:
         """The (shared) operator instance ``node`` was lowered onto."""
         return self._ops[node.signature()]
 
-    def push(self, item: Any) -> None:
-        """Dispatch one stream tuple to its source operator (once,
-        regardless of how many plans consume the stream).
-
-        Dispatch is by exact type with a cached isinstance fallback,
-        so subclasses of a stream's tuple type reach the stream — the
-        same semantics hand-written queries get from the scheduler's
-        per-type routes. Tuples matching no registered stream are
-        dropped.
-        """
-        kind = type(item)
-        try:
-            source = self._dispatch[kind]
-        except KeyError:
-            source = next(
-                (
-                    src
-                    for base, src in self._by_type.items()
-                    if issubclass(kind, base)
-                ),
-                None,
-            )
-            self._dispatch[kind] = source
-        if source is not None:
-            source.emit(item)
-
     def push_batch(
         self,
         events: "EventLog | Iterable[ObjectEvent]",
         sensors: Iterable[SensorReading] = (),
     ) -> None:
-        """Dispatch one batch of both streams — each in time order —
-        to every registered plan at once.
+        """Run every registered plan over one batch of both streams,
+        each in time order.
 
-        Equivalent, bit for bit (alerts and their order, every plan's
-        migration and checkpoint bytes, window tables), to merging the
-        two streams by time, sensors first at equal timestamps, and
-        pushing the tuples through :meth:`push` one by one; but the local plane
-        runs as numpy column operations and the scalar global blocks see
-        only the rows that can change them (see
-        :mod:`repro.queries.batch`). ``events`` may be the inference
-        service's columnar :class:`~repro.core.events.EventLog` or any
-        sequence of event tuples.
+        The result, bit for bit (alerts and their order, every plan's
+        migration and checkpoint bytes, window tables), is that of
+        merging the two streams by time, sensors first at equal
+        timestamps, and pushing the tuples one by one through the
+        operator DAG; but the local plane runs as numpy column
+        operations and the scalar global blocks see only the rows that
+        can change them (see :mod:`repro.queries.batch`). A batch cut
+        anywhere in the merged order continues the previous one.
+        ``events`` may be the inference service's columnar
+        :class:`~repro.core.events.EventLog` or any sequence of event
+        tuples.
         """
         if self._program is None:
             self._program = BatchProgram(self)
@@ -572,7 +526,7 @@ class QueryEngine:
 
 
 class _PlanBuilder:
-    """One registration pass: instantiates, wires, and records ops."""
+    """One registration pass: instantiates ops, records their edges."""
 
     def __init__(self, engine: QueryEngine) -> None:
         self.engine = engine
@@ -631,61 +585,49 @@ class _PlanBuilder:
             if op not in self.global_ops:
                 self.global_ops.append(op)
 
+    def _edge(
+        self, parent: Any, receiver: Any, method: str = "push", update: bool = False
+    ) -> None:
+        self.engine.edges.append((parent, receiver, method, update))
+
     def _create(self, node: Node) -> Any:
+        """The operator ``node`` lowers onto; the stateless stages
+        (streams, filters, joins) are their own node."""
         if isinstance(node, Stream):
-            if node.name not in STREAM_TYPES:
+            if node.name not in STREAM_SCHEMAS:
                 raise ValueError(f"unknown stream {node.name!r}")
-            source = _SourceOp()
-            self.engine.sources[node.name] = source
-            self.engine._by_type[STREAM_TYPES[node.name]] = source
-            self.engine._dispatch.clear()  # new stream may claim cached misses
-            return source
+            return node
         if isinstance(node, Where):
-            parent = self._instantiate(node.source)
-            op = Filter(node.predicate)
-            parent.subscribe(op)
-            return op
+            self._edge(self._instantiate(node.source), node)
+            return node
         if isinstance(node, Latest):
             parent = self._instantiate(node.source)
-            op = LatestByKey(_getter(node.key), codec=node.codec)
-            # Updates run after same-instant join probes ([Now] is
+            window = LatestByKey(_getter(node.key), codec=node.codec)
+            # Updates come after same-instant join probes ([Now] is
             # evaluated against the pre-update relation).
-            parent.subscribe(op, priority=WINDOW_UPDATE_PRIORITY)
-            return op
+            self._edge(parent, window, update=True)
+            return window
         if isinstance(node, JoinLatest):
             parent = self._instantiate(node.source)
-            window = self._instantiate(node.window)
-            row = row_type(tuple(name for name, _ in node.select))
-            plan = []
+            self._instantiate(node.window)
             for _, path in node.select:
                 side, _, field = path.partition(".")
                 if side not in ("left", "right") or not field:
                     raise ValueError(f"malformed projection path {path!r}")
-                plan.append((side == "left", field))
-
-            def combine(left: Any, right: Any, _plan=tuple(plan), _row=row):
-                return _row(
-                    *(
-                        getattr(left if is_left else right, field)
-                        for is_left, field in _plan
-                    )
-                )
-
-            op = NowJoin(window, _getter(node.probe), combine)
-            parent.subscribe(op)
-            return op
+            self._edge(parent, node)
+            return node
         if isinstance(node, KleeneDuration):
             parent = self._instantiate(node.source)
             block = CompiledPattern(node)
-            parent.subscribe(block.pattern)
+            self._edge(parent, block.pattern)
             for reset_node in node.resets:
-                self._instantiate(reset_node).subscribe(block.on_reset)
+                self._edge(self._instantiate(reset_node), block, "on_reset")
             return block
         if isinstance(node, RouteConformance):
             parent = self._instantiate(node.source)
-            op = RouteAutomaton(node)
-            parent.subscribe(op)
-            return op
+            automaton = RouteAutomaton(node)
+            self._edge(parent, automaton)
+            return automaton
         raise ValueError(f"unknown spec node {type(node).__name__}")
 
 
@@ -697,12 +639,12 @@ class DeclarativeQuery:
     site's shared engine.
 
     Constructed, the query owns a private :class:`QueryEngine` so it
-    can be driven directly (``on_event``/``on_sensor``) by schedulers,
-    benchmarks, and tests. A :class:`~repro.runtime.node.SiteNode`
-    instead calls :meth:`bind` to recompile the spec into the site's
-    shared engine — multi-query optimization happens there — and from
-    then on drives the engine, not the facade. The facade keeps
-    answering through whatever plan it is currently bound to.
+    can be driven directly (:meth:`push_batch`) by benchmarks, examples
+    and tests. A :class:`~repro.runtime.node.SiteNode` instead calls
+    :meth:`bind` to recompile the spec into the site's shared engine —
+    multi-query optimization happens there — and from then on drives
+    the engine, not the facade. The facade keeps answering through
+    whatever plan it is currently bound to.
     """
 
     def __init__(self, spec: QuerySpec) -> None:
@@ -720,13 +662,16 @@ class DeclarativeQuery:
     def plan(self) -> CompiledPlan:
         return self._plan
 
-    # -- stream handlers (standalone driving) ------------------------------
+    # -- standalone driving ------------------------------------------------
 
-    def on_event(self, event: ObjectEvent) -> None:
-        self._engine.push(event)
-
-    def on_sensor(self, reading: SensorReading) -> None:
-        self._engine.push(reading)
+    def push_batch(
+        self,
+        events: "EventLog | Iterable[ObjectEvent]",
+        sensors: Iterable[SensorReading] = (),
+    ) -> None:
+        """Run the engine this query is bound to — every plan registered
+        there — over one batch (see :meth:`QueryEngine.push_batch`)."""
+        self._engine.push_batch(events, sensors)
 
     # -- answers ---------------------------------------------------------
 

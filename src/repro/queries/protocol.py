@@ -1,7 +1,7 @@
 """The uniform query-state protocol (§4.2, Appendix B).
 
-Every continuous query the runtime manages — compiled plans and any
-remaining hand-written class — speaks :class:`QueryState`. It replaces
+Every continuous query the runtime manages — a compiled plan behind a
+declarative facade — speaks :class:`QueryState`. It replaces
 the old ad-hoc per-query byte codecs with one contract the
 :class:`~repro.runtime.router.QueryRouter`, the
 :class:`~repro.runtime.node.SiteNode` migration bundles, and

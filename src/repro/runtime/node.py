@@ -47,7 +47,6 @@ from typing import Any, Iterable, Mapping
 from repro.archive import SiteArchive
 from repro.archive.replication import decode_replica_fetch, encode_archive_delta
 from repro.core.collapsed import CollapsedState
-from repro.core.events import ObjectEvent
 from repro.core.service import ServiceConfig, StreamingInference
 from repro.runtime.envelope import (
     ACK,
@@ -82,7 +81,6 @@ from repro.serving.wire import (
 )
 from repro.sim.tags import EPC
 from repro.sim.trace import Trace
-from repro.streams.engine import merge_by_time
 
 __all__ = ["SiteNode"]
 
@@ -110,13 +108,10 @@ class SiteNode:
         self.service = StreamingInference(trace, config)
         self.batch_migrations = batch_migrations
         self.queries: dict[str, Any] = {}
-        #: the site's shared operator runtime: declarative queries are
+        #: the site's shared operator runtime: every registered query is
         #: compiled into it, with identical local sub-plans instantiated
-        #: once across all registered queries.
+        #: once; each boundary's batch enters it once, not once per query.
         self.engine = QueryEngine()
-        #: names of queries dispatched through the engine (each
-        #: boundary's batch enters the engine once, not once per query).
-        self._engine_queries: set[str] = set()
         self.router = QueryRouter(self.queries)
         #: append-only history of this site's inference output, fed at
         #: every boundary; the serving layer's historical queries read it.
@@ -172,22 +167,20 @@ class SiteNode:
         fresh ``queries`` instances to replace the registered ones (the
         cluster rebuilds them from its registered factories); without
         them the existing instances stay registered. Either way the
-        compiled operator DAG is rebuilt and every declarative query is
-        recompiled into it with empty automata — a restart loses query
-        state like any other volatile state; :meth:`restore` repopulates
-        it from the checkpoint. Hand-written (non-declarative) query
-        instances are not touched unless replaced.
+        shared query engine is rebuilt and every query is recompiled into
+        it with empty automata — a restart loses query state like any
+        other volatile state; :meth:`restore` repopulates it from the
+        checkpoint.
         """
         self.service = StreamingInference(self.trace, self.config)
         if queries is not None:
             self.queries.clear()
             self.queries.update(queries)
         self.engine = QueryEngine()
-        self._engine_queries = set()
-        for name, query in self.queries.items():
+        for query in self.queries.values():
             # Rebinds don't re-count the ledger's operator gauges: the
             # site's registered plans are unchanged, only rebuilt.
-            self._bind_query(name, query, account=False)
+            self._bind_query(query, account=False)
         self.archive = SiteArchive(self.site)
         self.history = HistoryService(self.archive)
         self.seen = set()
@@ -222,28 +215,32 @@ class SiteNode:
     def add_query(self, name: str, query: Any) -> None:
         """Register a continuous query.
 
-        Declarative facades (anything exposing a ``spec`` and ``bind``)
-        are compiled into the site's shared :class:`QueryEngine`, where
-        identical local sub-plans across queries are instantiated once;
-        other objects are dispatched directly. State migrates if the
-        query implements the
-        :class:`~repro.queries.protocol.QueryState` hooks.
+        The query must be a declarative facade (a
+        :class:`~repro.queries.compiler.DeclarativeQuery`: it exposes a
+        ``spec`` and ``bind``); it is compiled into the site's shared
+        :class:`QueryEngine`, where identical local sub-plans across
+        queries are instantiated once, and its per-object state migrates
+        through the :class:`~repro.queries.protocol.QueryState` hooks.
+        Anything else raises :class:`TypeError`.
         """
+        if getattr(query, "spec", None) is None or not callable(
+            getattr(query, "bind", None)
+        ):
+            raise TypeError(
+                f"query {name!r} ({type(query).__name__}) is not declarative: "
+                "a site runs only compiled plans (a spec and bind)"
+            )
         self.queries[name] = query
-        self._bind_query(name, query)
+        self._bind_query(query)
 
-    def _bind_query(self, name: str, query: Any, account: bool = True) -> None:
+    def _bind_query(self, query: Any, account: bool = True) -> None:
         """Compile a declarative query into the shared engine and, for
         first-time registrations, surface the sharing gauges in the
         communication ledger (crash-recovery rebinds pass
         ``account=False`` so one site never counts its plans twice)."""
-        bind = getattr(query, "bind", None)
-        if bind is None or getattr(query, "spec", None) is None:
-            return
         built_before = self.engine.operators_built
         shared_before = self.engine.operators_shared
-        bind(self.engine)
-        self._engine_queries.add(name)
+        query.bind(self.engine)
         if account and self._transport is not None:
             ledger = self._transport.ledger
             ledger.plan_operators_built += (
@@ -313,13 +310,10 @@ class SiteNode:
 
     def _feed_queries(self, boundary: int) -> None:
         """Hand the boundary's new tuples — the run's event columns and
-        the interval's sensor readings — to the registered queries.
-
-        Compiled plans get them as **one batch**: the shared engine
-        runs its local plane columnar and reproduces the time-ordered
-        merge (sensors first at equal timestamps) by arrival rank, so no
-        tuple is built for them. Hand-written queries are still driven
-        tuple by tuple, from lazily materialized events.
+        the interval's sensor readings — to the registered queries as
+        **one batch**: the shared engine runs its local plane columnar
+        and reproduces the time-ordered merge (sensors first at equal
+        timestamps) by arrival rank, so no tuple is built for it.
         """
         events, self._event_pos = self.service.events_since(self._event_pos)
         hi = self._sensor_pos
@@ -327,25 +321,8 @@ class SiteNode:
             hi += 1
         sensors = self._sensors[self._sensor_pos : hi]
         self._sensor_pos = hi
-        if not self.queries or (not events and not sensors):
-            return
-        if self._engine_queries:
+        if self.queries and (events or sensors):
             self.engine.push_batch(events, sensors)
-        direct = [
-            query
-            for name, query in self.queries.items()
-            if name not in self._engine_queries
-        ]
-        if not direct:
-            return
-        for item in merge_by_time(sensors, events):
-            for query in direct:
-                if isinstance(item, ObjectEvent):
-                    query.on_event(item)
-                else:
-                    on_sensor = getattr(query, "on_sensor", None)
-                    if on_sensor is not None:
-                        on_sensor(item)
 
     # -- message handling ---------------------------------------------------
 

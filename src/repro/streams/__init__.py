@@ -1,33 +1,27 @@
-"""CQL-style continuous query processing with pattern matching.
+"""Stream-processing building blocks shared by every compiled plan.
 
 The paper's query processor is CQL [2] extended with SASE-style pattern
-matching [1] (§2, §4.2, Appendix B). This package provides the pieces
-those queries need:
+matching [1] (§2, §4.2, Appendix B). The plans themselves are compiled
+and executed by :mod:`repro.queries`; this package holds the state they
+keep:
 
-* :mod:`repro.streams.operators` — push-based relational operators
-  (filter, map, partitioned Rows-1 windows, Now-window joins);
+* :mod:`repro.streams.operators` — the ``[Partition By k Rows 1]``
+  window relation;
 * :mod:`repro.streams.pattern` — the ``SEQ(A+)`` Kleene-plus automaton
   with per-partition (per-object) state;
 * :mod:`repro.streams.state` — compact per-object query-state encoding
-  used for state migration and centroid sharing;
-* :mod:`repro.streams.engine` — a time-ordered scheduler that drives
-  queries over merged event and sensor streams.
+  used for state migration, centroid sharing and checkpoints.
 """
 
-from repro.streams.engine import StreamScheduler
-from repro.streams.operators import Filter, LatestByKey, Map, NowJoin
+from repro.streams.operators import LatestByKey
 from repro.streams.pattern import KleeneDurationPattern, PatternAlert, PatternState
 from repro.streams.state import decode_pattern_state, encode_pattern_state
 
 __all__ = [
-    "Filter",
     "KleeneDurationPattern",
     "LatestByKey",
-    "Map",
-    "NowJoin",
     "PatternAlert",
     "PatternState",
-    "StreamScheduler",
     "decode_pattern_state",
     "encode_pattern_state",
 ]

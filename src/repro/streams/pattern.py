@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, NamedTuple
 
-from repro.streams.operators import Operator
-
 __all__ = ["PatternState", "PatternAlert", "KleeneDurationPattern"]
 
 
@@ -51,7 +49,7 @@ class PatternState:
         self.values.clear()
 
 
-class KleeneDurationPattern(Operator):
+class KleeneDurationPattern:
     """``SEQ(A+)`` per key with a minimum-span firing condition.
 
     Parameters
@@ -63,12 +61,10 @@ class KleeneDurationPattern(Operator):
     value_fn:
         Value collected from each qualifying event (Q1/Q2: temperature).
     duration:
-        Fire when ``last.time > first.time + duration``.
+        Fire when ``last.time > first.time + duration`` — once per run;
+        a new run starts after a reset (or a ``max_gap`` silence).
     max_values:
         Cap on the collected value list (bounds per-object state size).
-    refire_gap:
-        After firing, suppress further alerts for the same run; a new
-        run starts after a reset. ``None`` fires at most once per run.
     max_gap:
         Treat a silence longer than ``max_gap`` between consecutive
         qualifying events as a run break: the stale partial (or fired)
@@ -86,16 +82,13 @@ class KleeneDurationPattern(Operator):
         value_fn: Callable[[Any], float],
         duration: int,
         max_values: int = 64,
-        refire_gap: int | None = None,
         max_gap: int | None = None,
     ) -> None:
-        super().__init__()
         self.key_fn = key_fn
         self.time_fn = time_fn
         self.value_fn = value_fn
         self.duration = duration
         self.max_values = max_values
-        self.refire_gap = refire_gap
         self.max_gap = max_gap
         self.states: dict[Hashable, PatternState] = {}
         self.alerts: list[PatternAlert] = []
@@ -126,13 +119,9 @@ class KleeneDurationPattern(Operator):
             state.values.append(float(self.value_fn(event)))
         if state.stage == 1 and time > state.start_time + self.duration:
             state.stage = 2
-            alert = PatternAlert(key, state.start_time, time, tuple(state.values))
-            self.alerts.append(alert)
-            self.emit(alert)
-        elif state.stage == 2 and self.refire_gap is not None:
-            if time > state.last_time + self.refire_gap:
-                state.stage = 1
-                state.start_time = time
+            self.alerts.append(
+                PatternAlert(key, state.start_time, time, tuple(state.values))
+            )
 
     def reset_key(self, key: Hashable, time: int) -> None:
         """The negative condition: the run is broken (Q1: the product is
@@ -179,11 +168,9 @@ class KleeneDurationPattern(Operator):
             local.last_time = max(local.last_time, incoming.last_time)
         if local.stage == 1 and local.last_time > local.start_time + self.duration:
             local.stage = 2
-            alert = PatternAlert(
-                key, local.start_time, local.last_time, tuple(local.values)
+            self.alerts.append(
+                PatternAlert(key, local.start_time, local.last_time, tuple(local.values))
             )
-            self.alerts.append(alert)
-            self.emit(alert)
 
     def evict(self, key: Hashable) -> None:
         self.states.pop(key, None)

@@ -17,7 +17,6 @@ from repro._util.encoding import ByteReader, ByteWriter
 from repro.core.events import ObjectEvent
 from repro.sim.sensors import SensorReading
 from repro.sim.tags import EPC, read_epc, write_epc
-from repro.streams.operators import LatestByKey
 from repro.streams.pattern import KleeneDurationPattern, PatternAlert, PatternState
 from repro.streams.state import (
     decode_pattern_state,
@@ -26,6 +25,8 @@ from repro.streams.state import (
     snapshot_pattern,
 )
 from repro.workloads.catalog import ProductCatalog
+
+from oracles.dag import Window
 
 __all__ = [
     "ExposureTuple",
@@ -99,7 +100,7 @@ class LegacyFreezerExposureQuery:
         self.catalog = catalog
         self.temp_threshold = temp_threshold
         # Temperature [Partition By sensor Rows 1]
-        self.temperature = LatestByKey(lambda s: (s.site, s.sensor))
+        self.temperature = Window(lambda s: (s.site, s.sensor))
         # Pattern SEQ(A+) over the global stream, partitioned by tag id.
         self.pattern = KleeneDurationPattern(
             key_fn=lambda s: s.tag,
@@ -174,7 +175,7 @@ class LegacyTemperatureExposureQuery:
     ) -> None:
         self.catalog = catalog
         self.temp_threshold = temp_threshold
-        self.temperature = LatestByKey(lambda s: (s.site, s.sensor))
+        self.temperature = Window(lambda s: (s.site, s.sensor))
         self.pattern = KleeneDurationPattern(
             key_fn=lambda s: s.tag,
             time_fn=lambda s: s.time,

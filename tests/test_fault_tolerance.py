@@ -365,16 +365,19 @@ class TestCheckpointRestore:
             with pytest.raises(ValueError):
                 node.restore(data[:cut])
 
-    def test_snapshot_requires_query_hooks(self, scenario):
+    def test_add_query_requires_a_declarative_query(self, scenario):
+        """A site runs only compiled plans: an object without a spec
+        and ``bind`` is refused at registration, by name."""
         node = make_node(scenario)
 
-        class HookLess:
+        class HandWritten:
             def on_event(self, event):  # pragma: no cover - never called
                 pass
 
-        node.add_query("opaque", HookLess())
-        with pytest.raises(ValueError, match="snapshot_state"):
-            node.snapshot()
+        with pytest.raises(TypeError, match="'opaque'.*HandWritten"):
+            node.add_query("opaque", HandWritten())
+        assert "opaque" not in node.queries
+        node.snapshot()  # the refused query left nothing to checkpoint
 
 
 class TestCrashScheduling:

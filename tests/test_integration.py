@@ -5,13 +5,11 @@ import runpy
 
 import pytest
 
-from repro.core.events import ObjectEvent, events_from_truth
+from repro.core.events import events_from_truth
 from repro.core.service import ServiceConfig, StreamingInference
 from repro.metrics.accuracy import service_containment_error, service_location_error
 from repro.metrics.fmeasure import match_alerts
 from repro.queries.q1 import FreezerExposureQuery
-from repro.sim.sensors import SensorReading
-from repro.streams.engine import StreamScheduler
 from repro.workloads.scenarios import cold_chain_scenario
 
 
@@ -47,10 +45,7 @@ class TestInferenceQuality(object):
 class TestEndToEndQuery(object):
     def run_q1(self, events, scenario):
         query = FreezerExposureQuery(scenario.catalog, exposure_duration=300)
-        scheduler = StreamScheduler()
-        scheduler.route(ObjectEvent, query.on_event)
-        scheduler.route(SensorReading, query.on_sensor)
-        scheduler.run(events, scenario.sensor_stream(0))
+        query.push_batch(events, scenario.sensor_stream(0))
         return query
 
     def test_inferred_alerts_score_against_truth(self, pipeline):

@@ -6,9 +6,7 @@ from repro.core.events import ObjectEvent, events_from_truth
 from repro.queries.q1 import FreezerExposureQuery
 from repro.queries.q2 import TemperatureExposureQuery
 from repro.queries.tracking import PathDeviationQuery
-from repro.sim.sensors import SensorReading
 from repro.sim.tags import EPC, TagKind
-from repro.streams.engine import StreamScheduler
 from repro.workloads.catalog import ProductCatalog
 from repro.workloads.scenarios import cold_chain_scenario
 
@@ -20,10 +18,7 @@ def scenario():
 
 def run_query(query, scenario):
     events = events_from_truth(scenario.truth, scenario.horizon, period=5)
-    scheduler = StreamScheduler()
-    scheduler.route(ObjectEvent, query.on_event)
-    scheduler.route(SensorReading, query.on_sensor)
-    scheduler.run(events, scenario.sensor_stream(0))
+    query.push_batch(events, scenario.sensor_stream(0))
     return query
 
 
@@ -82,24 +77,28 @@ class TestTracking:
     def test_on_route_object_never_alerts(self):
         tag = EPC(TagKind.CASE, 0)
         query = PathDeviationQuery({tag: (0, 1, 2)})
-        for site, time in ((0, 0), (0, 5), (1, 10), (2, 20)):
-            query.on_event(ObjectEvent(time, tag, site, 0, None))
+        query.push_batch(
+            [ObjectEvent(time, tag, site, 0, None)
+             for site, time in ((0, 0), (0, 5), (1, 10), (2, 20))]
+        )
         assert query.alerts == []
         assert query.path_of(tag) == [0, 1, 2]
 
     def test_deviation_detected_once(self):
         tag = EPC(TagKind.CASE, 0)
         query = PathDeviationQuery({tag: (0, 1, 2)})
-        query.on_event(ObjectEvent(0, tag, 0, 0, None))
-        query.on_event(ObjectEvent(5, tag, 3, 0, None))  # off route
-        query.on_event(ObjectEvent(8, tag, 3, 0, None))
+        query.push_batch([
+            ObjectEvent(0, tag, 0, 0, None),
+            ObjectEvent(5, tag, 3, 0, None),  # off route
+            ObjectEvent(8, tag, 3, 0, None),
+        ])
         assert len(query.alerts) == 1
         alert = query.alerts[0]
         assert alert.site == 3 and alert.time == 5
 
     def test_unmonitored_tags_ignored(self):
         query = PathDeviationQuery({})
-        query.on_event(ObjectEvent(0, EPC(TagKind.CASE, 9), 5, 0, None))
+        query.push_batch([ObjectEvent(0, EPC(TagKind.CASE, 9), 5, 0, None)])
         assert query.alerts == []
 
 

@@ -1,16 +1,24 @@
-"""Equivalence suite: compiled plans vs the hand-written query paths.
+"""Equivalence suite: compiled plans vs their oracles.
 
 The declarative refactor's headline guarantee: compiling Q1/Q2/tracking
 from specs changes *nothing observable*. Alerts, per-object migrated
 state bytes, and checkpoint payloads are bit-identical to the original
-hand-written implementations (the oracle in ``tests/oracles/queries.py``)
-— standalone over ground-truth and inferred streams, and end-to-end
-through a federated run including a chaos-seed fault plan. On top of
+hand-written implementations (``tests/oracles/queries.py``) over
+ground-truth and inferred streams, and a federated run — clean and
+under a chaos-seed fault plan — reproduces the outputs frozen in
+``tests/data/query_federation_golden.json``. The columnar executor
+(``QueryEngine.push_batch``) is held to the tuple-at-a-time operator
+DAG (``tests/oracles/dag.py``) on generated streams cut into arbitrary
+batches, and its ``SEQ(A+)`` blocks to a literal matcher
+(``tests/oracles/sase.py``) at the pattern's boundaries. On top of
 that, the suite pins the multi-query optimizer's sharing counts,
 exercises the two new declarative monitors, and property-tests the
 generic plan-state codecs.
 """
 
+import hashlib
+import json
+import os
 from dataclasses import dataclass
 
 import pytest
@@ -37,7 +45,6 @@ from repro.queries.tracking import PathDeviationQuery, path_deviation_spec
 from repro.runtime import Cluster
 from repro.sim.sensors import SensorReading
 from repro.sim.tags import EPC, TagKind
-from repro.streams.engine import StreamScheduler, merge_by_time
 from repro.workloads.catalog import ProductCatalog
 from repro.workloads.monitors import (
     EVENT_CODEC,
@@ -49,11 +56,13 @@ from repro.workloads.monitors import (
 from repro.workloads.scenarios import cold_chain_scenario
 
 from chaos import CHAOS_CONFIG, chaos_scenario, chaos_transport
+from oracles.dag import ScalarEngine, drive, merge_by_time
 from oracles.queries import (
     LegacyFreezerExposureQuery,
     LegacyPathDeviationQuery,
     LegacyTemperatureExposureQuery,
 )
+from oracles.sase import seq_a_plus
 
 # -- scenario matrix -------------------------------------------------------
 
@@ -73,11 +82,9 @@ def scenario_cell(request):
     return scenario, events, q1_dur, q2_dur
 
 
-def drive(query, events, sensors):
-    scheduler = StreamScheduler()
-    scheduler.route(ObjectEvent, query.on_event)
-    scheduler.route(SensorReading, query.on_sensor)
-    scheduler.run(events, sensors)
+def run_batch(query, events, sensors=()):
+    """A compiled query over the whole stream as one batch."""
+    query.push_batch(events, sensors)
     return query
 
 
@@ -96,7 +103,7 @@ class TestCompiledVsLegacyExposure:
     def test_q1_bit_identical(self, scenario_cell):
         scenario, events, q1_dur, _ = scenario_cell
         sensors = scenario.sensor_stream(0)
-        compiled = drive(
+        compiled = run_batch(
             FreezerExposureQuery(scenario.catalog, exposure_duration=q1_dur),
             events, sensors,
         )
@@ -110,7 +117,7 @@ class TestCompiledVsLegacyExposure:
     def test_q2_bit_identical(self, scenario_cell):
         scenario, events, _, q2_dur = scenario_cell
         sensors = scenario.sensor_stream(0)
-        compiled = drive(
+        compiled = run_batch(
             TemperatureExposureQuery(scenario.catalog, exposure_duration=q2_dur),
             events, sensors,
         )
@@ -136,7 +143,7 @@ class TestCompiledVsLegacyExposure:
         service.run_until(scenario.horizon)
         events = sorted(service.events, key=lambda e: e.time)
         sensors = scenario.sensor_stream(0)
-        compiled = drive(FreezerExposureQuery(scenario.catalog), events, sensors)
+        compiled = run_batch(FreezerExposureQuery(scenario.catalog), events, sensors)
         legacy = drive(
             LegacyFreezerExposureQuery(scenario.catalog), events, sensors
         )
@@ -179,11 +186,8 @@ class TestCompiledVsLegacyTracking:
                                        site_leave_time=700)
         events = events_from_truth(scenario.truth, scenario.horizon, period=5)
         routes = self.routes_for(scenario)
-        compiled = PathDeviationQuery(routes)
-        legacy = LegacyPathDeviationQuery(routes)
-        for event in events:
-            compiled.on_event(event)
-            legacy.on_event(event)
+        compiled = run_batch(PathDeviationQuery(routes), events)
+        legacy = drive(LegacyPathDeviationQuery(routes), events)
         assert compiled.alerts  # odd-serial cases do deviate
         assert [tuple(a) for a in compiled.alerts] == [
             tuple(a) for a in legacy.alerts
@@ -202,18 +206,18 @@ class TestCompiledVsLegacyTracking:
         routes = self.routes_for(scenario)
         cut = scenario.horizon // 2
 
-        def split_run(factory):
+        def split_run(factory, feed):
             first, second = factory(routes), factory(routes)
-            for event in events:
-                (first if event.time < cut else second).on_event(event)
+            feed(first, [event for event in events if event.time < cut])
+            feed(second, [event for event in events if event.time >= cut])
             for tag in sorted(routes):
                 state = first.export_state(tag)
                 if state is not None:
                     second.import_state(tag, state)
             return second
 
-        compiled = split_run(PathDeviationQuery)
-        legacy = split_run(LegacyPathDeviationQuery)
+        compiled = split_run(PathDeviationQuery, run_batch)
+        legacy = split_run(LegacyPathDeviationQuery, drive)
         for tag in sorted(routes):
             assert compiled.export_state(tag) == legacy.export_state(tag)
         assert compiled.snapshot_state() == legacy.snapshot_state()
@@ -245,18 +249,15 @@ class TestMultiQuerySharing:
         events = events_from_truth(scenario.truth, scenario.horizon, period=5)
         sensors = scenario.sensor_stream(0)
         # Standalone instances, driven separately.
-        alone_q1 = drive(FreezerExposureQuery(scenario.catalog), events, sensors)
-        alone_q2 = drive(TemperatureExposureQuery(scenario.catalog), events, sensors)
-        # One shared engine, each tuple pushed exactly once.
+        alone_q1 = run_batch(FreezerExposureQuery(scenario.catalog), events, sensors)
+        alone_q2 = run_batch(TemperatureExposureQuery(scenario.catalog), events, sensors)
+        # One shared engine, each batch entering it exactly once.
         engine = QueryEngine()
         q1 = FreezerExposureQuery(scenario.catalog)
         q2 = TemperatureExposureQuery(scenario.catalog)
         q1.bind(engine)
         q2.bind(engine)
-        scheduler = StreamScheduler()
-        scheduler.route(ObjectEvent, engine.push)
-        scheduler.route(SensorReading, engine.push)
-        scheduler.run(events, sensors)
+        engine.push_batch(events, sensors)
         assert q1.alerts == alone_q1.alerts
         assert q2.alerts == alone_q2.alerts
         assert q1.snapshot_state() == alone_q1.snapshot_state()
@@ -293,21 +294,25 @@ class TestMultiQuerySharing:
             assert ledger.plan_operators_built == 12 * len(cluster.nodes)
             assert ledger.plan_operators_shared == 5 * len(cluster.nodes)
 
-    def test_engine_push_dispatches_subclasses(self):
-        """Engine dispatch keeps the scheduler's isinstance semantics:
-        a subclass of a stream's tuple type reaches compiled plans."""
+    def test_push_batch_takes_event_subclasses(self):
+        """A batch is read by field name: a subclass of the stream's
+        tuple type reaches compiled plans like the type itself."""
 
         class EnrichedEvent(ObjectEvent):
             pass
 
         query = DwellTimeQuery(max_dwell=50, max_gap=100)
         tag = EPC(TagKind.CASE, 0)
-        for time in (0, 30, 60):
-            query.on_event(EnrichedEvent(time, tag, 0, 3, None))
+        query.push_batch([EnrichedEvent(time, tag, 0, 3, None) for time in (0, 30, 60)])
         assert query.violations() == [(tag, 0, 3, 60)]
 
 
 # -- federated equivalence -------------------------------------------------
+
+#: the frozen federation outputs (see :class:`TestFederatedEquivalence`).
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "query_federation_golden.json"
+)
 
 
 def run_federated(scenario, factories, transport=None, crash=None):
@@ -330,7 +335,6 @@ def run_federated(scenario, factories, transport=None, crash=None):
                 for alert in node.queries[name].alerts
             )
             for name in factories
-            if hasattr(next(iter(cluster.nodes)).queries[name], "alert_pairs")
         }
         return {
             "alerts": alerts,
@@ -340,49 +344,87 @@ def run_federated(scenario, factories, transport=None, crash=None):
             "checkpoints": {
                 node.site: node.snapshot() for node in cluster.nodes
             },
+            "query_blobs": {
+                node.site: node.router.snapshot_queries() for node in cluster.nodes
+            },
         }
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def federation_digest(run: dict) -> dict:
+    """A federated run reduced to JSON: exact values, hashed bytes."""
+    digest = {
+        "alerts": {
+            name: [[key, start, end, list(values)] for key, start, end, values in rows]
+            for name, rows in sorted(run["alerts"].items())
+        },
+        "migrations": [
+            [str(m.tag), m.src, m.dst, m.time, m.bytes_sent] for m in run["migrations"]
+        ],
+        "data_bytes": dict(sorted(run["data_bytes"].items())),
+        "containment_error": run["containment_error"],
+        "checkpoints_sha256": {
+            str(site): _sha256(blob) for site, blob in sorted(run["checkpoints"].items())
+        },
+        "query_blobs_sha256": {
+            str(site): {name: _sha256(blob) for name, blob in sorted(blobs.items())}
+            for site, blobs in sorted(run["query_blobs"].items())
+        },
+    }
+    return json.loads(json.dumps(digest))  # the fixture's own types
+
+
+def golden_runs() -> dict:
+    """The two frozen runs: Q2 on the chaos scenario, over clean links
+    and under the seed-17 fault plan."""
+    scenario = chaos_scenario()
+    factories = {
+        "q2": lambda site: TemperatureExposureQuery(
+            scenario.catalog, exposure_duration=400
+        )
+    }
+    return {
+        "clean": federation_digest(run_federated(scenario, factories)),
+        "chaos-17": federation_digest(
+            run_federated(scenario, factories, transport=chaos_transport(17))
+        ),
+    }
+
+
 class TestFederatedEquivalence:
-    """Compiled vs legacy through the full distributed runtime."""
+    """Compiled plans through the full distributed runtime, against
+    ``tests/data/query_federation_golden.json``.
 
-    def test_compiled_matches_legacy_federation(self):
-        scenario = chaos_scenario()
-        compiled = run_federated(
-            scenario,
-            {"q2": lambda site: TemperatureExposureQuery(
-                scenario.catalog, exposure_duration=400)},
-        )
-        legacy = run_federated(
-            scenario,
-            {"q2": lambda site: LegacyTemperatureExposureQuery(
-                scenario.catalog, exposure_duration=400)},
-        )
-        assert compiled["alerts"] == legacy["alerts"]
-        assert compiled["migrations"] == legacy["migrations"]  # incl. bytes
-        assert compiled["data_bytes"] == legacy["data_bytes"]
-        assert compiled["containment_error"] == legacy["containment_error"]
-        # Site checkpoints (inference + query blobs) are byte-identical.
-        assert compiled["checkpoints"] == legacy["checkpoints"]
+    The fixture holds, per run, the alerts, the migrations with their
+    bytes, the per-kind ledger bytes, the containment error, and a
+    sha256 of every site checkpoint and of every query's checkpoint
+    blob. It was written by ``PYTHONPATH=src python
+    tests/test_query_plans.py`` at commit dcf7b4b — the last tree with
+    the tuple-at-a-time operator DAG in ``src/`` — where the same two
+    runs with the hand-written Q2 (``tests/oracles/queries.py``) in
+    place of the compiled plan produced identical alerts, migrations,
+    ledger bytes, containment error and checkpoints. Rewrite it only
+    after an intended change.
+    """
 
-    def test_compiled_matches_legacy_under_chaos_seed(self):
-        """Same comparison with a seeded fault plan on every link."""
-        scenario = chaos_scenario()
-        compiled = run_federated(
-            scenario,
-            {"q2": lambda site: TemperatureExposureQuery(
-                scenario.catalog, exposure_duration=400)},
-            transport=chaos_transport(17),
-        )
-        legacy = run_federated(
-            scenario,
-            {"q2": lambda site: LegacyTemperatureExposureQuery(
-                scenario.catalog, exposure_duration=400)},
-            transport=chaos_transport(17),
-        )
-        assert compiled["alerts"] == legacy["alerts"]
-        assert compiled["migrations"] == legacy["migrations"]
-        assert compiled["data_bytes"] == legacy["data_bytes"]
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return golden_runs()
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(GOLDEN_PATH) as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("run", ["clean", "chaos-17"])
+    def test_matches_frozen_run(self, runs, golden, run):
+        got, want = runs[run], golden[run]
+        assert got["alerts"]["q2"]  # non-vacuous: exposures span the hand-off
+        for key in want:
+            assert got[key] == want[key], key
 
 
 class TestCompiledPlanFaultTolerance:
@@ -429,14 +471,12 @@ class TestDwellMonitor:
 
     def test_fires_after_max_dwell(self):
         query = DwellTimeQuery(max_dwell=50, max_gap=60)
-        for event in self.make_events([0, 20, 40, 60]):
-            query.on_event(event)
+        query.push_batch(self.make_events([0, 20, 40, 60]))
         assert query.violations() == [(EPC(TagKind.CASE, 0), 0, 3, 60)]
 
     def test_gap_breaks_visit(self):
         query = DwellTimeQuery(max_dwell=50, max_gap=30)
-        for event in self.make_events([0, 20, 100, 120]):
-            query.on_event(event)
+        query.push_batch(self.make_events([0, 20, 100, 120]))
         # 20 → 100 exceeds max_gap: the visit restarts, neither span
         # (0..20 nor 100..120) reaches max_dwell.
         assert query.violations() == []
@@ -449,14 +489,12 @@ class TestDwellMonitor:
             ObjectEvent(40, tag, 0, 5, None),  # moved: new partition
             ObjectEvent(100, tag, 0, 5, None),  # span 60 at place 5
         ]
-        for event in stream:
-            query.on_event(event)
+        query.push_batch(stream)
         assert query.violations() == [(tag, 0, 5, 100)]
 
     def test_items_ignored_for_case_monitor(self):
         query = DwellTimeQuery(max_dwell=10)
-        for event in self.make_events([0, 50], tag=EPC(TagKind.ITEM, 0)):
-            query.on_event(event)
+        query.push_batch(self.make_events([0, 50], tag=EPC(TagKind.ITEM, 0)))
         assert query.violations() == []
 
 
@@ -475,8 +513,7 @@ class TestColocationMonitor:
         for t in range(0, 40, 5):
             stream.append(ObjectEvent(t, self.chem, 0, 7, None))
             stream.append(ObjectEvent(t, self.food, 0, 7, None))
-        for event in stream:
-            query.on_event(event)
+        query.push_batch(stream)
         breached = {tag for tag, _, _, _ in query.breaches()}
         # Both parties see the other as latest occupant and alert.
         assert breached == {self.food, self.chem}
@@ -491,8 +528,7 @@ class TestColocationMonitor:
             ObjectEvent(10, self.food, 0, 7, None),  # sees itself: reset
             ObjectEvent(40, self.food, 0, 7, None),
         ]
-        for event in stream:
-            query.on_event(event)
+        query.push_batch(stream)
         assert query.breaches() == []
 
     def test_compatible_neighbours_do_not_fire(self):
@@ -504,8 +540,7 @@ class TestColocationMonitor:
         for t in range(0, 40, 5):
             stream.append(ObjectEvent(t, other, 0, 7, None))
             stream.append(ObjectEvent(t, self.food, 0, 7, None))
-        for event in stream:
-            query.on_event(event)
+        query.push_batch(stream)
         assert query.breaches() == []
 
 
@@ -640,7 +675,7 @@ class TestCodecProperties:
             pass
 
 
-# -- batch path vs tuple-at-a-time push ------------------------------------
+# -- batch executor vs the tuple-at-a-time operator DAG ---------------------
 
 #: a small closed world, so generated streams collide on keys, tags
 #: and timestamps often enough to reach every branch.
@@ -721,23 +756,27 @@ ENGINE_MIXES = [
 ]
 
 
-def build_engine(names, catalog):
+def build_engine(names, catalog, kind=QueryEngine):
+    """A columnar engine (or, ``kind=ScalarEngine``, the oracle DAG)
+    with the named shipped specs registered."""
     specs = _shipped_specs(catalog)
-    engine = QueryEngine()
+    engine = kind()
     return engine, {name: engine.register(specs[name]()) for name in names}
 
 
 def merged(events, sensors):
-    """The one arrival order both paths must honour."""
+    """The one arrival order both executors must honour."""
     return list(merge_by_time(sensors, events))
+
+
+def push_tuples(engine, stream):
+    for item in stream:
+        engine.push(item)
 
 
 def push_batches(engine, chunks):
     for chunk in chunks:
-        engine.push_batch(
-            [t for t in chunk if isinstance(t, ObjectEvent)],
-            [t for t in chunk if isinstance(t, SensorReading)],
-        )
+        engine.push_batch(_events_of(chunk), _sensors_of(chunk))
 
 
 def assert_plans_identical(got, want):
@@ -755,16 +794,15 @@ def assert_plans_identical(got, want):
 
 
 class TestBatchEquivalence:
-    """``push_batch`` reproduces tuple-at-a-time ``push`` bit for bit."""
+    """``push_batch`` reproduces the tuple-at-a-time DAG bit for bit."""
 
     @pytest.mark.parametrize("names", ENGINE_MIXES, ids="+".join)
     @settings(max_examples=40, deadline=None)
     @given(events=event_streams(), sensors=sensor_streams())
-    def test_one_batch_matches_push(self, names, events, sensors):
+    def test_one_batch_matches_the_dag(self, names, events, sensors):
         catalog = batch_catalog()
-        ref_engine, ref = build_engine(names, catalog)
-        for item in merged(events, sensors):
-            ref_engine.push(item)
+        ref_engine, ref = build_engine(names, catalog, ScalarEngine)
+        push_tuples(ref_engine, merged(events, sensors))
         engine, plans = build_engine(names, catalog)
         engine.push_batch(EventLog.of(events), sensors)  # the columnar hand-over
         assert_plans_identical(plans, ref)
@@ -789,20 +827,18 @@ class TestBatchEquivalence:
         chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
         # State another site would hand over: whatever the whole stream
         # leaves behind, absorbed after chunk ``import_after``.
-        donor_engine, donor = build_engine(names, catalog)
-        for item in stream:
-            donor_engine.push(item)
+        donor_engine, donor = build_engine(names, catalog, ScalarEngine)
+        push_tuples(donor_engine, stream)
         migrated = [
             (name, tag, data)
             for name in names
             for tag in B_TAGS
             if (data := donor[name].export_state(tag)) is not None
         ]
-        ref_engine, ref = build_engine(names, catalog)
+        ref_engine, ref = build_engine(names, catalog, ScalarEngine)
         engine, plans = build_engine(names, catalog)
         for index, chunk in enumerate(chunks):
-            for item in chunk:
-                ref_engine.push(item)
+            push_tuples(ref_engine, chunk)
             push_batches(engine, [chunk])
             if index == import_after:
                 for name, tag, data in migrated:
@@ -815,9 +851,8 @@ class TestBatchEquivalence:
         frozen = B_ITEMS[0]
         warm = [SensorReading(t, 0, 1, 20.0) for t in (0, 5)]
         events = [ObjectEvent(t, frozen, 0, 1, None) for t in (0, 5, 9)]
-        ref_engine, ref = build_engine(("q1", "q2"), catalog)
-        for item in merged(events, warm):
-            ref_engine.push(item)
+        ref_engine, ref = build_engine(("q1", "q2"), catalog, ScalarEngine)
+        push_tuples(ref_engine, merged(events, warm))
         assert ref["q1"].alerts  # the 0→9 exposure outlasts the duration
         engine, plans = build_engine(("q1", "q2"), catalog)
         # Epoch 5's sensor reading ends one batch, its event opens the next.
@@ -825,7 +860,7 @@ class TestBatchEquivalence:
         engine.push_batch(events[1:], [])
         assert_plans_identical(plans, ref)
 
-    def test_inferred_event_log_matches_push(self):
+    def test_inferred_event_log_matches_the_dag(self):
         """The production hand-over: a service's columnar event log."""
         scenario = cold_chain_scenario(seed=4)
         service = StreamingInference(
@@ -838,26 +873,19 @@ class TestBatchEquivalence:
         service.run_until(scenario.horizon)
         sensors = list(scenario.sensor_stream(0))
 
-        def engine_with_plans():
-            engine = QueryEngine()
-            queries = [
-                FreezerExposureQuery(scenario.catalog, 300),
-                TemperatureExposureQuery(scenario.catalog, 400),
+        def engine_with_plans(engine):
+            specs = [
+                freezer_exposure_spec(scenario.catalog, 300),
+                temperature_exposure_spec(scenario.catalog, 400),
+                colocation_breach_spec(
+                    scenario.catalog, conflicts=(("frozen", "dry"),), duration=100
+                ),
             ]
-            plans = [query.bind(engine) for query in queries]
-            plans.append(
-                engine.register(
-                    colocation_breach_spec(
-                        scenario.catalog, conflicts=(("frozen", "dry"),), duration=100
-                    )
-                )
-            )
-            return engine, plans
+            return engine, [engine.register(spec) for spec in specs]
 
-        ref_engine, ref = engine_with_plans()
-        for item in merged(service.events, sensors):
-            ref_engine.push(item)
-        engine, plans = engine_with_plans()
+        ref_engine, ref = engine_with_plans(ScalarEngine())
+        push_tuples(ref_engine, merged(service.events, sensors))
+        engine, plans = engine_with_plans(QueryEngine())
         engine.push_batch(service.events, sensors)
         assert any(plan.alerts for plan in ref)
         for got, want in zip(plans, ref):
@@ -867,19 +895,241 @@ class TestBatchEquivalence:
                 assert got.export_state(tag) == want.export_state(tag)
 
 
-class TestBatchFallbacksAndDagOrder:
+# -- SASE semantics: pattern blocks against a literal SEQ(A+) --------------
+
+S_TAGS = [EPC(TagKind.CASE, 0), EPC(TagKind.CASE, 1)]
+
+
+def _events_of(chunk):
+    return [t for t in chunk if isinstance(t, ObjectEvent)]
+
+
+def _sensors_of(chunk):
+    return [t for t in chunk if isinstance(t, SensorReading)]
+
+
+def _push_and_reset(duration, max_gap, reset_first):
+    """A ``SEQ(A+)`` whose pushes (place >= 1) and resets (place <= 1)
+    overlap at place 1: one tuple both pushes and resets. Which comes
+    first is the DAG's visit order; a plan registered earlier that
+    builds the reset filter first makes the reset lead."""
+    source = Stream("events")
+    high = Where(source, Compare("place", ">=", 1))
+    low = Where(source, Compare("place", "<=", 1))
+    block = KleeneDuration(
+        high, key=("tag",), time="time", value="place", duration=duration,
+        resets=(low,), max_gap=max_gap,
+    )
+
+    def register(engine):
+        if reset_first:
+            engine.register(QuerySpec("lead", KleeneDuration(
+                low, key=("tag",), time="time", value="time", duration=duration,
+            )))
+        return engine.register(QuerySpec("sase", block))
+
+    def classify(stream):
+        for e in stream:
+            actions = ["push"] * (e.place >= 1) + ["reset"] * (e.place <= 1)
+            for action in reversed(actions) if reset_first else actions:
+                yield e.time, e.tag, action, e.place
+
+    return register, classify
+
+
+def _sensor_join(duration, max_gap):
+    """Events joined with the latest reading of their location: warm
+    pushes, cold resets. A reading and an event of one epoch: the
+    reading is in the window before the event probes it."""
+    window = Latest(Stream("sensors"), key=("site", "sensor"))
+    joined = JoinLatest(
+        Stream("events"), window, probe=("site", "place"),
+        select=(("time", "left.time"), ("tag", "left.tag"), ("temp", "right.temp")),
+    )
+    block = KleeneDuration(
+        Where(joined, Compare("temp", ">", 0.0)), key=("tag",), time="time",
+        value="temp", duration=duration,
+        resets=(Where(joined, Compare("temp", "<=", 0.0)),), max_gap=max_gap,
+    )
+
+    def classify(stream):
+        latest = {}
+        for item in stream:
+            if isinstance(item, SensorReading):
+                latest[(item.site, item.sensor)] = item.temp
+                continue
+            temp = latest.get((item.site, item.place))
+            if temp is not None:
+                yield item.time, item.tag, "push" if temp > 0.0 else "reset", temp
+
+    return (lambda engine: engine.register(QuerySpec("sase", block))), classify
+
+
+def _self_join(duration, max_gap):
+    """Events joined with the latest event of their location: one
+    tuple probes the window and updates it, and the probe reads the
+    relation as of the previous instant."""
+    source = Stream("events")
+    occupant = Latest(source, key=("site", "place"))
+    joined = JoinLatest(
+        source, occupant, probe=("site", "place"),
+        select=(("time", "left.time"), ("tag", "left.tag"), ("since", "right.time")),
+    )
+    block = KleeneDuration(
+        joined, key=("tag",), time="time", value="since", duration=duration,
+        max_gap=max_gap,
+    )
+
+    def classify(stream):
+        latest = {}
+        for e in stream:
+            previous = latest.get((e.site, e.place))
+            if previous is not None:
+                yield e.time, e.tag, "push", previous.time
+            latest[(e.site, e.place)] = e
+
+    return (lambda engine: engine.register(QuerySpec("sase", block))), classify
+
+
+def _sase_states(plan):
+    (block,) = plan.global_ops
+    return {
+        key: (s.stage, s.start_time, s.last_time, list(s.values))
+        for key, s in block.states.items()
+    }
+
+
+def check_sase(family, events, sensors=(), cuts=()):
+    """The plan's alerts and automaton states equal the literal
+    matcher's, tuple at a time through the operator DAG and in
+    batches cut anywhere."""
+    register, classify, duration, max_gap = family
+    stream = list(merge_by_time(sensors, events))
+    want_alerts, want_states = seq_a_plus(classify(stream), duration, max_gap)
+    scalar = ScalarEngine()
+    plans = {"scalar": register(scalar)}
+    push_tuples(scalar, stream)
+    engine = QueryEngine()
+    plans["batch"] = register(engine)
+    bounds = sorted({0, len(stream), *(c for c in cuts if c < len(stream))})
+    push_batches(engine, [stream[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+    for name, plan in plans.items():
+        assert [tuple(a) for a in plan.alerts] == want_alerts, name
+        assert _sase_states(plan) == want_states, name
+    return want_alerts
+
+
+@st.composite
+def sase_family(draw, kind):
+    duration = draw(st.integers(1, 5))
+    max_gap = draw(st.one_of(st.none(), st.integers(1, 5)))
+    if kind == "push_and_reset":
+        register, classify = _push_and_reset(duration, max_gap, draw(st.booleans()))
+    elif kind == "sensor_join":
+        register, classify = _sensor_join(duration, max_gap)
+    else:
+        register, classify = _self_join(duration, max_gap)
+    return register, classify, duration, max_gap
+
+
+@st.composite
+def boundary_stream(draw, family, with_sensors=False):
+    """Tuples whose time steps sit on the boundaries: 0 (one epoch),
+    1, duration - 1, duration, duration + 1, max_gap, max_gap + 1."""
+    _, _, duration, max_gap = family
+    steps = [0, 1, duration - 1, duration, duration + 1]
+    if max_gap is not None:
+        steps += [max_gap, max_gap + 1]
+    events, sensors, now = [], [], 0
+    for step in draw(st.lists(st.sampled_from(steps), max_size=30)):
+        now += step
+        if with_sensors and draw(st.booleans()):
+            sensors.append(SensorReading(
+                now, 0, draw(st.integers(0, 1)), draw(st.sampled_from([-5.0, 5.0, 12.5]))
+            ))
+        else:
+            events.append(ObjectEvent(
+                now, draw(st.sampled_from(S_TAGS)), 0, draw(st.integers(0, 2)), None
+            ))
+    return events, sensors
+
+
+class TestSaseSemantics:
+    """SEQ(A+) at its boundaries — spans of duration - 1, duration and
+    duration + 1, gaps of max_gap and max_gap + 1, a reading and an
+    event of one epoch, one tuple that both pushes and resets, a join
+    probe and its window update from one tuple — against the literal
+    matcher in ``tests/oracles/sase.py``."""
+
+    @pytest.mark.parametrize("kind", ["push_and_reset", "sensor_join", "self_join"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), cuts=st.lists(st.integers(0, 40), max_size=4))
+    def test_matches_literal_matcher(self, kind, data, cuts):
+        family = data.draw(sase_family(kind))
+        events, sensors = data.draw(
+            boundary_stream(family, with_sensors=kind == "sensor_join")
+        )
+        check_sase(family, events, sensors, cuts)
+
+    @pytest.mark.parametrize("delta, fires", [(-1, False), (0, False), (1, True)])
+    def test_span_must_exceed_duration(self, delta, fires):
+        register, classify = _push_and_reset(4, None, False)
+        events = [ObjectEvent(t, S_TAGS[0], 0, 2, None) for t in (0, 4 + delta)]
+        assert bool(check_sase((register, classify, 4, None), events)) == fires
+
+    @pytest.mark.parametrize("gap, fires", [(3, True), (4, False)])
+    def test_gap_beyond_max_gap_breaks_the_run(self, gap, fires):
+        register, classify = _push_and_reset(4, 3, False)
+        events = [ObjectEvent(t, S_TAGS[0], 0, 2, None) for t in (0, 3, 3 + gap)]
+        assert bool(check_sase((register, classify, 4, 3), events)) == fires
+
+    @pytest.mark.parametrize("reset_first, fires", [(False, False), (True, True)])
+    def test_tuple_that_pushes_and_resets(self, reset_first, fires):
+        """At place 1 the tuple pushes and resets: reset-then-push
+        leaves a run open at t=3 that t=8 completes; push-then-reset
+        leaves nothing for t=8 to extend."""
+        register, classify = _push_and_reset(4, None, reset_first)
+        events = [
+            ObjectEvent(0, S_TAGS[0], 0, 2, None),
+            ObjectEvent(3, S_TAGS[0], 0, 1, None),
+            ObjectEvent(8, S_TAGS[0], 0, 2, None),
+        ]
+        assert bool(check_sase((register, classify, 4, None), events)) == fires
+
+    def test_reading_and_event_of_one_epoch(self):
+        register, classify = _sensor_join(4, None)
+        sensors = [SensorReading(0, 0, 1, 5.0), SensorReading(9, 0, 1, -5.0)]
+        events = [ObjectEvent(t, S_TAGS[0], 0, 1, None) for t in (0, 5, 9)]
+        # t=0 sees its own epoch's warm reading; t=9 its cold one.
+        assert check_sase((register, classify, 4, None), events, sensors, cuts=[1]) == [
+            (S_TAGS[0], 0, 5, (5.0, 5.0))
+        ]
+
+    def test_probe_reads_the_relation_before_its_own_update(self):
+        register, classify = _self_join(2, None)
+        events = [
+            ObjectEvent(0, S_TAGS[1], 0, 0, None),
+            ObjectEvent(0, S_TAGS[0], 0, 0, None),
+            ObjectEvent(3, S_TAGS[0], 0, 0, None),
+        ]
+        # S_TAGS[0] at t=0 finds S_TAGS[1], not itself; at t=3 itself.
+        assert check_sase((register, classify, 2, None), events) == [
+            (S_TAGS[0], 0, 3, (0.0, 0.0))
+        ]
+
+
+class TestBatchFallbackAndVisitOrder:
     """Plans the shipped specs do not exercise: predicates without a
-    columnar form, hand-wired subscribers, and DAGs whose same-tuple
-    visit order is not the common one."""
+    columnar form, and plans whose same-tuple visit order is not the
+    common one."""
 
     @staticmethod
     def _both(register, events):
-        """``register(engine) -> plans`` driven tuple by tuple, and in
-        two batches."""
-        ref_engine = QueryEngine()
+        """``register(engine) -> plans`` driven tuple by tuple through
+        the oracle DAG, and in two batches."""
+        ref_engine = ScalarEngine()
         ref = register(ref_engine)
-        for item in events:
-            ref_engine.push(item)
+        push_tuples(ref_engine, events)
         engine = QueryEngine()
         plans = register(engine)
         half = len(events) // 2
@@ -903,26 +1153,6 @@ class TestBatchFallbacksAndDagOrder:
 
         plans, ref = self._both(register, events)
         assert_plans_identical(plans, ref)
-
-    @settings(max_examples=25, deadline=None)
-    @given(events=event_streams())
-    def test_hand_wired_subscriber_sees_the_same_rows(self, events):
-        seen: list[list] = []  # one list per engine, in registration order
-
-        def register(engine):
-            cases = Where(Stream("events"), KindIs(TagKind.CASE))
-            pattern = KleeneDuration(
-                cases, key=("tag",), time="time", value="place", duration=2
-            )
-            plan = engine.register(QuerySpec("cases", pattern))
-            seen.append([])
-            engine.operator_of(cases).subscribe(seen[-1].append)
-            return {"cases": plan}
-
-        plans, ref = self._both(register, events)
-        assert_plans_identical(plans, ref)
-        pushed, batched = seen
-        assert batched == pushed == [e for e in events if e.tag.kind is TagKind.CASE]
 
     @settings(max_examples=40, deadline=None)
     @given(events=event_streams())
@@ -975,3 +1205,10 @@ class TestBatchFallbacksAndDagOrder:
 
         plans, ref = self._both(register, events)
         assert_plans_identical(plans, ref)
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_PATH, "w") as fh:
+        json.dump(golden_runs(), fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {GOLDEN_PATH}")

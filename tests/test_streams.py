@@ -1,4 +1,5 @@
-"""Tests for stream operators, pattern matching, and state encoding."""
+"""Tests for plan timing, pattern matching, state encoding and the
+batch kernels."""
 
 from typing import NamedTuple
 
@@ -8,17 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.events import EventBatch, EventLog, ObjectEvent
 from repro.queries.batch import _latest_before, _row_keys
+from repro.queries.compiler import QueryEngine
+from repro.queries.spec import JoinLatest, KleeneDuration, Latest, QuerySpec, Stream
+from repro.sim.sensors import SensorReading
 from repro.sim.tags import EPC, TagKind
-from repro.streams.engine import StreamScheduler, merge_by_time
-from repro.streams.operators import (
-    WINDOW_UPDATE_PRIORITY,
-    Filter,
-    LatestByKey,
-    Map,
-    NowJoin,
-)
-from repro.streams.pattern import KleeneDurationPattern, PatternState
+from repro.streams.pattern import KleeneDurationPattern, PatternAlert, PatternState
 from repro.streams.state import decode_pattern_state, encode_pattern_state
+
+from oracles.dag import NowJoin, Window
 
 
 class Tick(NamedTuple):
@@ -27,139 +25,44 @@ class Tick(NamedTuple):
     value: float
 
 
-class TestOperators:
-    def test_filter_and_map_chain(self):
-        out = []
-        filt = Filter(lambda t: t.value > 0)
-        mapper = Map(lambda t: t.value * 2)
-        filt.subscribe(mapper)
-        mapper.subscribe(out.append)
-        for tick in (Tick(0, "a", 1.0), Tick(1, "a", -1.0), Tick(2, "a", 3.0)):
-            filt.push(tick)
-        assert out == [2.0, 6.0]
+class TestEngineTiming:
+    """The two same-instant rules of a compiled plan: a reading is in
+    its window before the events of its epoch probe it, and a tuple
+    probes a window it also updates as of the previous instant."""
 
-    def test_latest_by_key_keeps_newest(self):
-        table = LatestByKey(lambda t: t.key)
-        table.push(Tick(0, "a", 1.0))
-        table.push(Tick(5, "a", 9.0))
-        table.push(Tick(3, "b", 2.0))
-        assert table.lookup("a").value == 9.0
-        assert table.lookup("b").value == 2.0
-        assert table.lookup("zzz") is None
-        assert len(table) == 2
-
-    def test_now_join_probes_table(self):
-        table = LatestByKey(lambda t: t.key)
-        table.push(Tick(0, "a", 20.0))
-        out = []
-        join = NowJoin(
-            table,
-            probe_key=lambda t: t.key,
-            combine=lambda left, right: (left.time, right.value),
-            where=lambda left, right: right.value > 10,
+    def test_sensors_precede_events_at_equal_time(self):
+        window = Latest(Stream("sensors"), key=("site", "sensor"))
+        joined = JoinLatest(
+            Stream("events"), window, probe=("site", "place"),
+            select=(("time", "left.time"), ("tag", "left.tag"), ("temp", "right.temp")),
         )
-        join.subscribe(out.append)
-        join.push(Tick(7, "a", 0.0))
-        join.push(Tick(8, "missing", 0.0))
-        table.push(Tick(9, "a", 5.0))
-        join.push(Tick(10, "a", 0.0))  # filtered by where
-        assert out == [(7, 20.0)]
-
-
-class TestScheduler:
-    def test_merge_orders_by_time(self):
-        a = [Tick(0, "a", 0), Tick(4, "a", 0)]
-        b = [Tick(1, "b", 0), Tick(3, "b", 0)]
-        merged = list(merge_by_time(a, b))
-        assert [t.time for t in merged] == [0, 1, 3, 4]
-
-    def test_merge_tie_break_is_stable(self):
-        """The documented contract: at equal timestamps, the earlier
-        argument stream wins; within a stream, original order holds."""
-        a = [Tick(5, "a1", 0), Tick(5, "a2", 0)]
-        b = [Tick(5, "b1", 0), Tick(5, "b2", 0)]
-        merged = list(merge_by_time(a, b))
-        assert [t.key for t in merged] == ["a1", "a2", "b1", "b2"]
-        # And swapping the argument order swaps the winner.
-        merged = list(merge_by_time(b, a))
-        assert [t.key for t in merged] == ["b1", "b2", "a1", "a2"]
-
-    def test_routes_by_type(self):
-        class Other(NamedTuple):
-            time: int
-
-        ticks, others = [], []
-        sched = StreamScheduler()
-        sched.route(Tick, ticks.append)
-        sched.route(Other, others.append)
-        n = sched.run([Tick(0, "a", 0), Tick(2, "a", 0)], [Other(1)])
-        assert n == 3
-        assert len(ticks) == 2 and len(others) == 1
-
-    def test_dispatch_cache_handles_subclasses(self):
-        class Special(Tick):
-            pass
-
-        base_hits, special_hits = [], []
-        sched = StreamScheduler()
-        sched.route(Tick, base_hits.append)
-        sched.route(Special, special_hits.append)
-        sched.run([Tick(0, "a", 0), Special(1, "b", 0)])
-        # A Special tuple matches both routes (isinstance semantics);
-        # a plain Tick matches only the base route.
-        assert len(base_hits) == 2
-        assert len(special_hits) == 1
-        # The resolved chains are cached per exact type.
-        assert len(sched.handlers_for(Tick)) == 1
-        assert len(sched.handlers_for(Special)) == 2
-
-    def test_late_route_invalidates_cache(self):
-        first, second = [], []
-        sched = StreamScheduler()
-        sched.route(Tick, first.append)
-        sched.run([Tick(0, "a", 0)])  # caches Tick → (first,)
-        sched.route(Tick, second.append)
-        sched.run([Tick(1, "a", 0)])
-        assert len(first) == 2 and len(second) == 1
-
-    def test_unrouted_types_are_counted_but_dropped(self):
-        class Other(NamedTuple):
-            time: int
-
-        sched = StreamScheduler()
-        hits = []
-        sched.route(Tick, hits.append)
-        assert sched.run([Other(0)], [Tick(1, "a", 0)]) == 2
-        assert len(hits) == 1
-
-
-class TestSubscriptionPriority:
-    def test_priority_orders_delivery(self):
-        seen = []
-        source = Map(lambda t: t)
-        source.subscribe(lambda t: seen.append("late"), priority=1)
-        source.subscribe(lambda t: seen.append("early"))  # default 0
-        source.subscribe(lambda t: seen.append("early2"))
-        source.push(Tick(0, "a", 0))
-        assert seen == ["early", "early2", "late"]
+        spec = QuerySpec("warm", KleeneDuration(
+            joined, key=("tag",), time="time", value="temp", duration=0,
+        ))
+        engine = QueryEngine()
+        plan = engine.register(spec)
+        tag = EPC(TagKind.CASE, 0)
+        engine.push_batch(
+            [ObjectEvent(t, tag, 0, 1, None) for t in (5, 6)],
+            [SensorReading(5, 0, 1, 7.0)],
+        )
+        assert plan.alerts == [PatternAlert(tag, 5, 6, (7.0, 7.0))]
 
     def test_join_probes_pre_update_relation(self):
-        """With the window update at low priority, a tuple probing a
-        window built from the same stream sees the *previous* row —
-        CQL's pre-update [Now] semantics."""
-        out = []
-        source = Map(lambda t: t)
-        table = LatestByKey(lambda t: t.key)
-        join = NowJoin(
-            table, probe_key=lambda t: t.key,
-            combine=lambda left, right: (left.time, right.time),
+        source = Stream("events")
+        joined = JoinLatest(
+            source, Latest(source, key=("site", "place")), probe=("site", "place"),
+            select=(("time", "left.time"), ("tag", "left.tag"), ("since", "right.time")),
         )
-        join.subscribe(out.append)
-        source.subscribe(join)
-        source.subscribe(table, priority=WINDOW_UPDATE_PRIORITY)
-        source.push(Tick(1, "a", 0))  # no previous row: probe misses
-        source.push(Tick(2, "a", 0))  # sees the t=1 row
-        assert out == [(2, 1)]
+        spec = QuerySpec("seen", KleeneDuration(
+            joined, key=("tag",), time="time", value="since", duration=0,
+        ))
+        engine = QueryEngine()
+        plan = engine.register(spec)
+        tag = EPC(TagKind.CASE, 0)
+        # t=1 finds no previous row (not its own); t=2 sees the t=1 row.
+        engine.push_batch([ObjectEvent(t, tag, 0, 4, None) for t in (1, 2, 3)])
+        assert plan.alerts == [PatternAlert(tag, 2, 3, (1.0, 2.0))]
 
 
 class TestPattern:
@@ -421,11 +324,11 @@ class TestBatchKernels:
         build_first=st.booleans(),
     )
     def test_as_of_join_matches_now_join(self, rows, build_first):
-        """``_latest_before`` finds what a ``NowJoin`` against a
-        ``LatestByKey`` would have looked up, tuple by tuple — with the
+        """``_latest_before`` finds what the oracle's ``NowJoin`` against
+        a ``Window`` would have looked up, tuple by tuple — with the
         window update wired after (or, ``build_first``, before) the
         probe of the same tuple."""
-        table = LatestByKey(lambda t: t[1])
+        table = Window(lambda t: t[1])
         found = {}
         join = NowJoin(
             table, probe_key=lambda t: t[1], combine=lambda left, right: (left, right)
